@@ -578,8 +578,8 @@ pub fn fault_sweep(sizes: &Sizes) -> Vec<FaultSweepRow> {
         let set = spec.generate(sizes.pairs_for(&spec), sizes.seed);
         for rate in RATES {
             let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-            drv.cpu_fallback = true;
-            drv.max_retries = 2;
+            drv.policy.cpu_fallback = true;
+            drv.policy.max_retries = 2;
             if rate > 0.0 {
                 drv.device
                     .set_fault_plan(FaultPlan::uniform(sizes.seed ^ 0xFA17, rate));

@@ -37,7 +37,6 @@ pub mod backtrace;
 pub mod bitpack;
 pub mod biwfa;
 pub mod cigar;
-pub mod gap_linear;
 pub mod kernel;
 pub mod penalties;
 pub mod pool;
@@ -52,7 +51,6 @@ pub use adaptive::AdaptiveParams;
 pub use arena::{ArenaStats, WavefrontArena};
 pub use bitpack::PackedSeq;
 pub use cigar::{Cigar, CigarError, EditStats, Op};
-pub use gap_linear::{gap_linear_wavefront, GapLinearAlignment};
 pub use penalties::{Penalties, PenaltyError};
 pub use rng::SmallRng;
 pub use seq::Seq;

@@ -10,12 +10,18 @@
 //! Robustness (paper §5.1, made a driver contract): [`WfasicDriver::submit`]
 //! returns a [`Result`] instead of asserting. A watchdog bounds how long the
 //! driver will wait on a job; device-refused jobs, watchdog timeouts, and
-//! unparseable result streams are retried up to [`WfasicDriver::max_retries`]
-//! times (injected faults are transients, so a resubmission can succeed).
-//! With [`WfasicDriver::cpu_fallback`] enabled, pairs the hardware could not
-//! complete — and whole jobs that exhaust their retries — are re-run through
-//! the software WFA ([`wfa_core::wfa_align`]) and marked
-//! [`AlignmentResult::recovered`], so the application always gets answers.
+//! unparseable result streams are retried up to
+//! [`DriverPolicy::max_retries`] times (injected faults are transients, so a
+//! resubmission can succeed). With [`DriverPolicy::cpu_fallback`] enabled,
+//! pairs the hardware could not complete — and whole jobs that exhaust their
+//! retries — are re-run through the software WFA ([`wfa_core::wfa_align`])
+//! and marked [`AlignmentResult::recovered`], so the application always gets
+//! answers.
+//!
+//! The lone driver and every lane of the batch scheduler share one
+//! [`DriverPolicy`] type and one attempt loop (`Stage::run`); an
+//! `AttemptPort` supplies only what differs between them — how an attempt
+//! is launched on the device timeline and what the caller tracks around it.
 
 use crate::backend::CpuWfaBackend;
 use crate::backtrace::{
@@ -24,6 +30,7 @@ use crate::backtrace::{
 use crate::cpu_model::BacktraceCosts;
 use crate::faults::{FaultClass, FaultLayer, Provenance};
 use wfa_core::cigar::Cigar;
+use wfa_core::Penalties;
 use wfasic_accel::device::{RunReport, WfasicDevice};
 use wfasic_accel::regs::{offsets, DeviceError};
 use wfasic_accel::schedule::WavefrontSchedule;
@@ -110,7 +117,42 @@ pub struct JobResult {
     pub retries: u32,
 }
 
+impl AlignmentResult {
+    /// An unanswered pair: `success == false`, no score, no CIGAR.
+    pub(crate) fn failed(id: u32) -> Self {
+        AlignmentResult {
+            id,
+            success: false,
+            score: 0,
+            cigar: None,
+            recovered: false,
+        }
+    }
+}
+
 impl JobResult {
+    /// A job the CPU fallback answered in full: every pair realigned in
+    /// software and marked `recovered`, with no device report behind it.
+    pub(crate) fn recovered(
+        penalties: Penalties,
+        pairs: &[Pair],
+        backtrace: bool,
+        separated: bool,
+    ) -> Self {
+        let mut cpu = CpuWfaBackend::new(penalties);
+        JobResult {
+            results: pairs
+                .iter()
+                .map(|p| cpu.recover_pair(p, backtrace))
+                .collect(),
+            report: RunReport::default(),
+            config_cycles: 0,
+            cpu_backtrace_cycles: 0,
+            separated,
+            retries: 0,
+        }
+    }
+
     /// Pairs answered by the CPU fallback rather than the accelerator.
     pub fn recovered_count(&self) -> usize {
         self.results.iter().filter(|r| r.recovered).count()
@@ -237,6 +279,62 @@ impl std::fmt::Display for DriverError {
 
 impl std::error::Error for DriverError {}
 
+/// The driver's job policy: how long to wait on the device, how often to
+/// retry, and what to do when the hardware cannot answer. One value, shared
+/// by the lone [`WfasicDriver`], every lane of a
+/// [`crate::batch::BatchScheduler`], and the private drivers of
+/// [`crate::batch::BatchScheduler::run_parallel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DriverPolicy {
+    /// Give up on an attempt whose duration exceeds this bound (the
+    /// driver's watchdog timer against a wedged device).
+    pub watchdog_cycles: Cycle,
+    /// Resubmit a failed job this many times before giving up (injected
+    /// faults are transient, so retries genuinely help).
+    pub max_retries: u32,
+    /// Simulated cycles of deterministic backoff charged before each retry
+    /// (a real driver sleeps between resubmissions instead of hammering a
+    /// faulting device). Counts against the deadline budget; on a
+    /// scheduler lane it also shifts the retry's DMA start.
+    pub retry_backoff_cycles: Cycle,
+    /// Optional cycle budget for the whole job (all attempts + backoff).
+    /// When the budget runs out the driver refuses with
+    /// [`DriverError::DeadlineExceeded`] instead of waiting or retrying
+    /// further — CPU fallback does **not** rescue a blown deadline; the
+    /// refusal is the contract. `None` = no deadline (the watchdog is then
+    /// the only bound). A scheduler job's own `deadline` overrides it.
+    pub deadline_cycles: Option<Cycle>,
+    /// Re-run failed pairs (and fully-failed jobs) through the software WFA
+    /// so the application always gets answers.
+    pub cpu_fallback: bool,
+    /// Output-buffer size programmed into `OUT_SIZE` (0 = unbounded).
+    pub out_size: u64,
+    /// Force the data-separation method even with one Aligner (Fig. 11's
+    /// `[Sep]` configurations). Multi-Aligner jobs always separate.
+    pub force_separation: bool,
+}
+
+impl Default for DriverPolicy {
+    fn default() -> Self {
+        DriverPolicy {
+            watchdog_cycles: 1 << 40,
+            max_retries: 1,
+            retry_backoff_cycles: 0,
+            deadline_cycles: None,
+            cpu_fallback: false,
+            out_size: 0,
+            force_separation: false,
+        }
+    }
+}
+
+impl DriverPolicy {
+    /// Does a job on a device of shape `cfg` use data separation?
+    pub fn separates(&self, cfg: &AccelConfig) -> bool {
+        self.force_separation || cfg.num_aligners > 1
+    }
+}
+
 /// The driver: device + memory + policy.
 #[derive(Debug)]
 pub struct WfasicDriver {
@@ -244,35 +342,8 @@ pub struct WfasicDriver {
     pub device: WfasicDevice,
     /// Main memory shared between CPU and accelerator.
     pub mem: MainMemory,
-    /// AXI-Lite timing for register traffic.
-    pub axi_lite: AxiLite,
-    /// CPU backtrace cost model.
-    pub bt_costs: BacktraceCosts,
-    /// Force the data-separation method even with one Aligner (Fig. 11's
-    /// `[Sep]` configurations). Multi-Aligner jobs always separate.
-    pub force_separation: bool,
-    /// Give up on a job whose cycle count exceeds this bound (the driver's
-    /// watchdog timer against a wedged device).
-    pub watchdog_cycles: Cycle,
-    /// Resubmit a failed job this many times before giving up (injected
-    /// faults are transient, so retries genuinely help).
-    pub max_retries: u32,
-    /// Simulated cycles of deterministic backoff charged before each retry
-    /// (a real driver sleeps between resubmissions instead of hammering a
-    /// faulting device). Counts against the deadline budget.
-    pub retry_backoff_cycles: Cycle,
-    /// Optional cycle budget for the whole job (all attempts + backoff).
-    /// When the budget runs out the driver refuses with
-    /// [`DriverError::DeadlineExceeded`] instead of waiting or retrying
-    /// further — CPU fallback does **not** rescue a blown deadline; the
-    /// refusal is the contract. `None` = no deadline (the watchdog is then
-    /// the only bound).
-    pub deadline_cycles: Option<Cycle>,
-    /// Re-run failed pairs (and fully-failed jobs) through the software WFA
-    /// so the application always gets answers.
-    pub cpu_fallback: bool,
-    /// Output-buffer size programmed into `OUT_SIZE` (0 = unbounded).
-    pub out_size: u64,
+    /// Watchdog / retry / deadline / fallback / staging policy.
+    pub policy: DriverPolicy,
     /// Program `PERF_CTRL` so every job collects per-stage cycle
     /// attribution, readable via [`JobResult::perf_breakdown`]. Attribution
     /// is observational: it never changes cycle results.
@@ -289,33 +360,122 @@ impl WfasicDriver {
         WfasicDriver {
             device: WfasicDevice::new(cfg),
             mem: MainMemory::with_default_cap(),
-            axi_lite: AxiLite::default(),
-            bt_costs: BacktraceCosts::default(),
-            force_separation: false,
-            watchdog_cycles: 1 << 40,
-            max_retries: 1,
-            retry_backoff_cycles: 0,
-            deadline_cycles: None,
-            cpu_fallback: false,
-            out_size: 0,
+            policy: DriverPolicy::default(),
             collect_perf: false,
             layout: MemLayout::default(),
             schedule,
         }
     }
 
-    /// Submit a batch of pairs and run to completion.
+    /// Submit a batch of pairs and run to completion from cycle 0.
     ///
     /// Failures (device refusal, watchdog timeout, unparseable results) are
-    /// retried up to [`Self::max_retries`] times; if every attempt fails the
-    /// job is either recovered entirely on the CPU
-    /// (when [`Self::cpu_fallback`] is set) or reported as an error.
+    /// retried up to [`DriverPolicy::max_retries`] times; if every attempt
+    /// fails the job is either recovered entirely on the CPU (when
+    /// [`DriverPolicy::cpu_fallback`] is set) or reported as an error.
     pub fn submit(
         &mut self,
         pairs: &[Pair],
         backtrace: bool,
         wait: WaitMode,
     ) -> Result<JobResult, DriverError> {
+        let stage = Stage {
+            dev: &mut self.device,
+            mem: &mut self.mem,
+            layout: self.layout,
+            schedule: &self.schedule,
+            policy: self.policy,
+            collect_perf: self.collect_perf,
+        };
+        stage.run(pairs, backtrace, &mut LonePort { wait })
+    }
+}
+
+/// How one attempt loop ended, as its [`AttemptPort`] sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JobEnd {
+    /// The hardware answered (some pairs may have been recovered per pair).
+    Answered,
+    /// The deadline budget ran out; the job was refused.
+    Refused,
+    /// Every attempt failed; the job was recovered on the CPU or surfaced
+    /// its last error.
+    Exhausted,
+}
+
+/// What differs between the callers of the attempt loop: how an attempt is
+/// launched on the device timeline, and what the caller tracks around it.
+pub(crate) trait AttemptPort {
+    /// The value programmed into `IRQ_ENABLE`.
+    fn irq_enable(&self) -> bool;
+    /// Run the job latched in `dev`'s registers. `backoff` is the retry
+    /// backoff charged before this attempt (0 on the first).
+    fn launch(&mut self, dev: &mut WfasicDevice, mem: &mut MainMemory, backoff: Cycle)
+        -> RunReport;
+    /// An attempt failed (watchdog, device error, or unparseable stream)
+    /// and will be retried if the policy allows.
+    fn attempt_failed(&mut self, _report: &RunReport) {}
+    /// The job is over; `report` is its last attempt's.
+    fn settle(&mut self, _report: &RunReport, _end: JobEnd) {}
+}
+
+/// The lone driver's port: every attempt runs from cycle 0 on a private
+/// device, waits the way the caller asked, and acks any stray interrupt.
+struct LonePort {
+    wait: WaitMode,
+}
+
+impl AttemptPort for LonePort {
+    fn irq_enable(&self) -> bool {
+        self.wait == WaitMode::Interrupt
+    }
+
+    fn launch(&mut self, dev: &mut WfasicDevice, mem: &mut MainMemory, _: Cycle) -> RunReport {
+        let report = dev.run(mem);
+        // Completion: take the interrupt, falling back to polling Idle if
+        // the interrupt was lost (e.g. a corrupted IRQ_ENABLE write).
+        debug_assert_eq!(dev.mmio_read(offsets::IDLE), 1);
+        // Acknowledge any pending interrupt (write-1-to-clear) once the
+        // status registers have been collected. Always check, even when
+        // polling: a corrupted IRQ_ENABLE write can raise an interrupt the
+        // driver never asked for. The ack value itself travels over MMIO
+        // too and can arrive corrupted (a flipped bit 0 drops the clear),
+        // so verify the pending bit dropped and re-arm if not.
+        for _ in 0..4 {
+            if dev.mmio_read(offsets::IRQ_PENDING) == 0 {
+                break;
+            }
+            dev.mmio_write(offsets::IRQ_PENDING, 1);
+        }
+        report
+    }
+}
+
+/// One job's staging context: the device it runs on, the memory it reads
+/// and writes, where it is staged, and the policy it runs under.
+pub(crate) struct Stage<'a> {
+    pub dev: &'a mut WfasicDevice,
+    pub mem: &'a mut MainMemory,
+    pub layout: MemLayout,
+    pub schedule: &'a WavefrontSchedule,
+    pub policy: DriverPolicy,
+    pub collect_perf: bool,
+}
+
+impl Stage<'_> {
+    /// **The** attempt loop (paper §5.1 made a driver contract). Each
+    /// attempt restages the image, reprograms every register over AXI-Lite
+    /// (a fault may have corrupted the configuration path), and runs; then
+    /// checks, in order: the deadline budget, the watchdog, the device
+    /// error, the result parse, and per-pair CPU fallback. On exhaustion
+    /// the whole job is recovered on the CPU or the last error surfaces.
+    pub(crate) fn run(
+        self,
+        pairs: &[Pair],
+        backtrace: bool,
+        port: &mut impl AttemptPort,
+    ) -> Result<JobResult, DriverError> {
+        let (policy, layout) = (self.policy, self.layout);
         let max_read_len = round_up_16(
             pairs
                 .iter()
@@ -327,115 +487,77 @@ impl WfasicDriver {
         // The CPU parses the input and stores it in main memory (Fig. 4
         // step 1), padding every sequence to MAX_READ_LEN with dummy bases.
         let img = InputImage::encode_raw(pairs, max_read_len);
-        if self.layout.in_addr + img.bytes.len() as u64 > self.layout.out_addr {
+        if layout.in_addr + img.bytes.len() as u64 > layout.out_addr {
             return Err(DriverError::BatchTooLarge {
                 bytes: img.bytes.len(),
             });
         }
 
-        let separated = self.force_separation || self.device.cfg.num_aligners > 1;
+        let separated = policy.separates(&self.dev.cfg);
         let mut config_cycles: Cycle = 0;
-        let mut last_err = DriverError::Timeout {
-            waited: 0,
-            watchdog: self.watchdog_cycles,
-        };
-        let mut last_report: Option<RunReport> = None;
         // Cycle budget accounting: every attempt's duration and every retry
         // backoff counts against the (optional) deadline.
         let mut spent: Cycle = 0;
-
-        for attempt in 0..=self.max_retries {
-            if attempt > 0 {
-                spent += self.retry_backoff_cycles;
-            }
-            // (Re)stage the image and program the registers over AXI-Lite —
-            // a retry reprograms everything in case a fault corrupted the
-            // configuration path.
-            self.mem.write(self.layout.in_addr, &img.bytes);
-            let mut writes = 0u64;
-            let mut w = |dev: &mut WfasicDevice, off, val| {
-                dev.mmio_write(off, val);
-                writes += 1;
+        let mut attempt = 0;
+        loop {
+            let backoff = if attempt > 0 {
+                policy.retry_backoff_cycles
+            } else {
+                0
             };
-            w(&mut self.device, offsets::BT_ENABLE, backtrace as u64);
-            w(&mut self.device, offsets::MAX_READ_LEN, max_read_len as u64);
-            w(&mut self.device, offsets::IN_ADDR, self.layout.in_addr);
-            w(&mut self.device, offsets::IN_SIZE, img.bytes.len() as u64);
-            w(&mut self.device, offsets::OUT_ADDR, self.layout.out_addr);
-            w(&mut self.device, offsets::OUT_SIZE, self.out_size);
-            w(
-                &mut self.device,
-                offsets::PERF_CTRL,
-                self.collect_perf as u64,
-            );
-            w(
-                &mut self.device,
-                offsets::IRQ_ENABLE,
-                matches!(wait, WaitMode::Interrupt) as u64,
-            );
-            w(&mut self.device, offsets::START, 1);
-            config_cycles += self.axi_lite.cycles_for(writes);
-
-            let report = self.device.run(&mut self.mem);
-
-            // Completion: take the interrupt, falling back to polling Idle
-            // if the interrupt was lost (e.g. a corrupted IRQ_ENABLE write).
-            debug_assert_eq!(self.device.mmio_read(offsets::IDLE), 1);
-
-            // Acknowledge any pending interrupt (write-1-to-clear) once the
-            // status registers have been collected. Always check, even when
-            // polling: a corrupted IRQ_ENABLE write can raise an interrupt
-            // the driver never asked for. The ack value itself travels over
-            // MMIO too and can arrive corrupted (a flipped bit 0 drops the
-            // clear), so verify the pending bit dropped and re-arm if not.
-            let error = report.error;
-            let waited = report.total_cycles;
-            for _ in 0..4 {
-                if self.device.mmio_read(offsets::IRQ_PENDING) == 0 {
-                    break;
-                }
-                self.device.mmio_write(offsets::IRQ_PENDING, 1);
+            spent += backoff;
+            self.mem.write(layout.in_addr, &img.bytes);
+            let regs = [
+                (offsets::BT_ENABLE, backtrace as u64),
+                (offsets::MAX_READ_LEN, max_read_len as u64),
+                (offsets::IN_ADDR, layout.in_addr),
+                (offsets::IN_SIZE, img.bytes.len() as u64),
+                (offsets::OUT_ADDR, layout.out_addr),
+                (offsets::OUT_SIZE, policy.out_size),
+                (offsets::PERF_CTRL, self.collect_perf as u64),
+                (offsets::IRQ_ENABLE, port.irq_enable() as u64),
+                (offsets::START, 1),
+            ];
+            for (off, val) in regs {
+                self.dev.mmio_write(off, val);
             }
+            config_cycles += AxiLite::default().cycles_for(regs.len() as u64);
 
+            let report = port.launch(self.dev, self.mem, backoff);
+            let waited = report.duration();
             spent += waited;
-            if let Some(budget) = self.deadline_cycles {
+            if let Some(budget) = policy.deadline_cycles {
                 // The caller stopped waiting the moment the budget ran out:
                 // refuse with the typed error instead of parsing, retrying
                 // or falling back — a late answer is still a missed
                 // deadline.
                 if spent > budget {
+                    port.settle(&report, JobEnd::Refused);
                     return Err(DriverError::DeadlineExceeded { budget, spent });
                 }
             }
-            if waited > self.watchdog_cycles {
-                last_err = DriverError::Timeout {
+            let answer = if waited > policy.watchdog_cycles {
+                Err(DriverError::Timeout {
                     waited,
-                    watchdog: self.watchdog_cycles,
-                };
-                last_report = Some(report);
-                continue;
-            }
-            if let Some(e) = error {
-                last_err = DriverError::Device(e);
-                last_report = Some(report);
-                continue;
-            }
-
-            let parsed = if backtrace {
-                self.parse_bt_results(pairs, &report, separated)
+                    watchdog: policy.watchdog_cycles,
+                })
+            } else if let Some(e) = report.error {
+                Err(DriverError::Device(e))
             } else {
-                Ok((self.parse_nbt_results(pairs, &report), 0))
+                self.parse(pairs, backtrace, &report, separated)
+                    .map_err(DriverError::Stream)
             };
-            match parsed {
+            match answer {
                 Ok((mut results, cpu_backtrace_cycles)) => {
-                    if self.cpu_fallback {
-                        let mut cpu = CpuWfaBackend::new(self.device.cfg.penalties);
+                    if policy.cpu_fallback {
+                        let mut cpu = CpuWfaBackend::new(self.dev.cfg.penalties);
                         for (res, pair) in results.iter_mut().zip(pairs) {
                             if !res.success {
                                 *res = cpu.recover_pair(pair, backtrace);
                             }
                         }
                     }
+                    port.settle(&report, JobEnd::Answered);
                     return Ok(JobResult {
                         results,
                         report,
@@ -445,158 +567,111 @@ impl WfasicDriver {
                         retries: attempt,
                     });
                 }
-                Err(e) => {
-                    last_err = DriverError::Stream(e);
-                    last_report = Some(report);
+                Err(failure) => {
+                    port.attempt_failed(&report);
+                    if attempt < policy.max_retries {
+                        attempt += 1;
+                        continue;
+                    }
+                    // Every attempt failed. Recover the whole batch on the
+                    // CPU, or surface the last failure.
+                    port.settle(&report, JobEnd::Exhausted);
+                    if !policy.cpu_fallback {
+                        return Err(failure);
+                    }
+                    let penalties = self.dev.cfg.penalties;
+                    return Ok(JobResult {
+                        report,
+                        config_cycles,
+                        retries: attempt,
+                        ..JobResult::recovered(penalties, pairs, backtrace, separated)
+                    });
                 }
             }
         }
-
-        // Every attempt failed. Recover the whole batch on the CPU, or
-        // surface the last failure.
-        if self.cpu_fallback {
-            let mut cpu = CpuWfaBackend::new(self.device.cfg.penalties);
-            let results: Vec<AlignmentResult> = pairs
-                .iter()
-                .map(|p| cpu.recover_pair(p, backtrace))
-                .collect();
-            let report = last_report.expect("at least one attempt ran");
-            return Ok(JobResult {
-                results,
-                report,
-                config_cycles,
-                cpu_backtrace_cycles: 0,
-                separated,
-                retries: self.max_retries,
-            });
-        }
-        Err(last_err)
     }
 
-    fn parse_nbt_results(&self, pairs: &[Pair], report: &RunReport) -> Vec<AlignmentResult> {
-        parse_nbt_results_at(&self.mem, self.layout.out_addr, pairs, report)
-    }
-
-    fn parse_bt_results(
+    /// Parse the job's results from `OUT_ADDR`: the score records, or the
+    /// backtrace stream replayed by the CPU backtrace (returning its
+    /// modeled CPU cycles).
+    fn parse(
         &self,
         pairs: &[Pair],
+        backtrace: bool,
         report: &RunReport,
         separated: bool,
     ) -> Result<(Vec<AlignmentResult>, Cycle), BtError> {
-        parse_bt_results_at(
-            &self.mem,
-            self.layout.out_addr,
-            &self.schedule,
-            &self.device.cfg,
-            &self.bt_costs,
-            pairs,
-            report,
-            separated,
-        )
-    }
-}
-
-/// Parse a job's NBT result records from `out_addr`.
-pub(crate) fn parse_nbt_results_at(
-    mem: &MainMemory,
-    out_addr: u64,
-    pairs: &[Pair],
-    report: &RunReport,
-) -> Vec<AlignmentResult> {
-    let bytes = mem.read(out_addr, report.output_bytes as usize);
-    let recs = wfasic_accel::collector::parse_nbt_records(&bytes, pairs.len());
-    // A short or ID-mismatched record set (torn/corrupted output) leaves
-    // the affected pairs marked failed rather than crashing; the CPU
-    // fallback can then recover them.
-    let mut results: Vec<AlignmentResult> = pairs
-        .iter()
-        .map(|pair| AlignmentResult {
-            id: pair.id,
-            success: false,
-            score: 0,
-            cigar: None,
-            recovered: false,
-        })
-        .collect();
-    for (i, rec) in recs.iter().enumerate().take(pairs.len()) {
-        if rec.id as u32 == pairs[i].id & 0xFFFF {
-            results[i].success = rec.success;
-            results[i].score = rec.score as u32;
+        let bytes = self
+            .mem
+            .read(self.layout.out_addr, report.output_bytes as usize);
+        if !backtrace {
+            let recs = wfasic_accel::collector::parse_nbt_records(&bytes, pairs.len());
+            // A short or ID-mismatched record set (torn/corrupted output)
+            // leaves the affected pairs marked failed rather than crashing;
+            // the CPU fallback can then recover them.
+            let results = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, pair)| match recs.get(i) {
+                    Some(rec) if rec.id as u32 == pair.id & 0xFFFF => AlignmentResult {
+                        success: rec.success,
+                        score: rec.score as u32,
+                        ..AlignmentResult::failed(pair.id)
+                    },
+                    _ => AlignmentResult::failed(pair.id),
+                })
+                .collect();
+            return Ok((results, 0));
         }
-    }
-    results
-}
+        let alignments: Vec<BtAlignment> = if separated {
+            separate_stream(&bytes)?
+        } else {
+            split_consecutive_stream(&bytes)?
+        };
+        let by_id: std::collections::HashMap<u32, &BtAlignment> =
+            alignments.iter().map(|a| (a.id, a)).collect();
 
-/// Parse a job's backtrace stream from `out_addr` and run the CPU
-/// backtrace, returning the results and the modeled CPU cycles.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn parse_bt_results_at(
-    mem: &MainMemory,
-    out_addr: u64,
-    schedule: &WavefrontSchedule,
-    cfg: &AccelConfig,
-    bt_costs: &BacktraceCosts,
-    pairs: &[Pair],
-    report: &RunReport,
-    separated: bool,
-) -> Result<(Vec<AlignmentResult>, Cycle), BtError> {
-    let bytes = mem.read(out_addr, report.output_bytes as usize);
-    let alignments: Vec<BtAlignment> = if separated {
-        separate_stream(&bytes)?
-    } else {
-        split_consecutive_stream(&bytes)?
-    };
-    let by_id: std::collections::HashMap<u32, &BtAlignment> =
-        alignments.iter().map(|a| (a.id, a)).collect();
-
-    let p = cfg.penalties;
-    let ps = cfg.parallel_sections;
-    let mut cycles: Cycle = 0;
-    let mut results = Vec::with_capacity(pairs.len());
-    for pair in pairs {
-        let bt = by_id
-            .get(&(pair.id & 0x7F_FFFF))
-            .ok_or(BtError::TruncatedStream)?;
-        if !bt.record.success {
+        let (schedule, cfg) = (self.schedule, &self.dev.cfg);
+        let p = cfg.penalties;
+        let ps = cfg.parallel_sections;
+        let bt_costs = BacktraceCosts::default();
+        let mut cycles: Cycle = 0;
+        let mut results = Vec::with_capacity(pairs.len());
+        for pair in pairs {
+            let bt = by_id
+                .get(&(pair.id & 0x7F_FFFF))
+                .ok_or(BtError::TruncatedStream)?;
+            if !bt.record.success {
+                results.push(AlignmentResult::failed(pair.id));
+                continue;
+            }
+            // Packed pairs replay packed; only raw (non-ACGT) sequences take
+            // the byte path, so the hot path never decodes to ASCII.
+            let cigar = match (pair.a.as_packed(), pair.b.as_packed()) {
+                (Some(pa), Some(pb)) => {
+                    crate::backtrace::backtrace_alignment_packed(schedule, bt, pa, pb, &p, ps)?
+                }
+                _ => {
+                    let (ba, bb) = (pair.a.bytes(), pair.b.bytes());
+                    backtrace_alignment(schedule, bt, &ba, &bb, &p, ps)?
+                }
+            };
+            cycles += bt_costs.cycles(
+                (bt.txns * 16) as u64,
+                cigar.stats().edits(),
+                (pair.a.len() + pair.b.len()) as u64,
+                separated,
+            );
             results.push(AlignmentResult {
                 id: pair.id,
-                success: false,
-                score: 0,
-                cigar: None,
+                success: true,
+                score: bt.record.score as u32,
+                cigar: Some(cigar),
                 recovered: false,
             });
-            continue;
         }
-        // Packed pairs replay packed; only raw (non-ACGT) sequences take
-        // the byte path, so the hot path never decodes to ASCII.
-        let cigar = match (pair.a.as_packed(), pair.b.as_packed()) {
-            (Some(pa), Some(pb)) => {
-                crate::backtrace::backtrace_alignment_packed(schedule, bt, pa, pb, &p, ps)?
-            }
-            _ => {
-                let (ba, bb) = (pair.a.bytes(), pair.b.bytes());
-                backtrace_alignment(schedule, bt, &ba, &bb, &p, ps)?
-            }
-        };
-        let edits = {
-            let st = cigar.stats();
-            st.edits()
-        };
-        cycles += bt_costs.cycles(
-            (bt.txns * 16) as u64,
-            edits,
-            (pair.a.len() + pair.b.len()) as u64,
-            separated,
-        );
-        results.push(AlignmentResult {
-            id: pair.id,
-            success: true,
-            score: bt.record.score as u32,
-            cigar: Some(cigar),
-            recovered: false,
-        });
+        Ok((results, cycles))
     }
-    Ok((results, cycles))
 }
 
 #[cfg(test)]
@@ -681,7 +756,7 @@ mod tests {
         .generate(2, 5)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.force_separation = true;
+        drv.policy.force_separation = true;
         let sep_job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
         assert!(sep_job.separated);
 
@@ -743,7 +818,7 @@ mod tests {
         .pairs;
         pairs[1].b.set_byte(5, b'N');
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.cpu_fallback = true;
+        drv.policy.cpu_fallback = true;
         let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
         assert_eq!(job.recovered_count(), 1);
         for res in &job.results {
@@ -768,14 +843,14 @@ mod tests {
         .generate(2, 9)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.watchdog_cycles = 1; // everything times out
+        drv.policy.watchdog_cycles = 1; // everything times out
         let err = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap_err();
         assert!(
             matches!(err, DriverError::Timeout { watchdog: 1, .. }),
             "{err}"
         );
         // Device is still usable afterwards.
-        drv.watchdog_cycles = 1 << 40;
+        drv.policy.watchdog_cycles = 1 << 40;
         assert!(drv.submit(&pairs, false, WaitMode::PollIdle).is_ok());
     }
 
@@ -788,11 +863,11 @@ mod tests {
         .generate(2, 9)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.watchdog_cycles = 1;
-        drv.cpu_fallback = true;
+        drv.policy.watchdog_cycles = 1;
+        drv.policy.cpu_fallback = true;
         let job = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap();
         assert_eq!(job.recovered_count(), 2);
-        assert_eq!(job.retries, drv.max_retries);
+        assert_eq!(job.retries, drv.policy.max_retries);
         for (res, pair) in job.results.iter().zip(&pairs) {
             assert!(res.success);
             assert_eq!(
@@ -811,7 +886,7 @@ mod tests {
         .generate(4, 11)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.out_size = 32; // too small for a BT stream -> OUT_OVERRUN
+        drv.policy.out_size = 32; // too small for a BT stream -> OUT_OVERRUN
         let err = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap_err();
         match err {
             DriverError::Device(e) => assert_eq!(e.code, error_code::OUT_OVERRUN),
@@ -831,7 +906,7 @@ mod tests {
         .generate(6, 21)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.cpu_fallback = true;
+        drv.policy.cpu_fallback = true;
         drv.device.set_fault_plan(FaultPlan {
             bit_flip_per_beat: 0.2,
             drop_beat: 0.02,

@@ -35,7 +35,7 @@
 //! equally-optimal transcript (optimal alignments are not unique), which
 //! the backend-equivalence suite pins down precisely.
 
-use crate::api::{AlignmentResult, DriverError, JobResult, WaitMode, WfasicDriver};
+use crate::api::{AlignmentResult, DriverError, DriverPolicy, JobResult, WaitMode, WfasicDriver};
 use crate::batch::{BatchJob, BatchScheduler};
 use wfa_core::pool::ThreadPool;
 use wfa_core::{
@@ -374,6 +374,21 @@ impl AlignPolicy {
             ..AlignPolicy::default()
         }
     }
+
+    /// `base` with the driver fields this policy carries (watchdog,
+    /// retries, backoff, deadline, CPU fallback) replaced; `out_size` and
+    /// `force_separation` keep `base`'s values. The one place an
+    /// `AlignPolicy` becomes a [`DriverPolicy`].
+    pub fn driver_policy(&self, base: DriverPolicy) -> DriverPolicy {
+        DriverPolicy {
+            watchdog_cycles: self.watchdog_cycles,
+            max_retries: self.max_retries,
+            retry_backoff_cycles: self.retry_backoff_cycles,
+            deadline_cycles: self.deadline_cycles,
+            cpu_fallback: self.cpu_fallback,
+            ..base
+        }
+    }
 }
 
 /// One engine that can run alignment batches.
@@ -584,11 +599,8 @@ impl CpuWfaBackend {
             ),
             Err(_) => (
                 AlignmentResult {
-                    id: pair.id,
-                    success: false,
-                    score: 0,
-                    cigar: None,
                     recovered,
+                    ..AlignmentResult::failed(pair.id)
                 },
                 0,
             ),
@@ -852,11 +864,7 @@ impl AlignmentBackend for DeviceBackend {
     }
 
     fn apply_policy(&mut self, policy: &AlignPolicy) {
-        self.driver.watchdog_cycles = policy.watchdog_cycles;
-        self.driver.max_retries = policy.max_retries;
-        self.driver.retry_backoff_cycles = policy.retry_backoff_cycles;
-        self.driver.deadline_cycles = policy.deadline_cycles;
-        self.driver.cpu_fallback = policy.cpu_fallback;
+        self.driver.policy = policy.driver_policy(self.driver.policy);
         self.driver.collect_perf = policy.collect_perf;
     }
 }
@@ -978,14 +986,10 @@ impl AlignmentBackend for MultiLaneBackend {
     }
 
     fn apply_policy(&mut self, policy: &AlignPolicy) {
-        self.sched.watchdog_cycles = policy.watchdog_cycles;
-        self.sched.max_retries = policy.max_retries;
-        self.sched.retry_backoff_cycles = policy.retry_backoff_cycles;
-        self.sched.deadline_cycles = policy.deadline_cycles;
+        self.sched.policy = policy.driver_policy(self.sched.policy);
         self.sched.quarantine_threshold = policy.quarantine_threshold;
         self.sched.quarantine_cooldown = policy.quarantine_cooldown;
         self.sched.retire_after = policy.retire_after;
-        self.sched.cpu_fallback = policy.cpu_fallback;
         self.sched.collect_perf = policy.collect_perf;
     }
 }
@@ -1377,25 +1381,35 @@ mod tests {
             adaptive: None,
         };
         let mut dev = DeviceBackend::new(AccelConfig::wfasic_chip());
+        dev.driver.policy.out_size = 4096;
+        dev.driver.policy.force_separation = true;
         dev.apply_policy(&policy);
-        assert_eq!(dev.driver.watchdog_cycles, 123);
-        assert_eq!(dev.driver.max_retries, 7);
-        assert_eq!(dev.driver.retry_backoff_cycles, 55);
-        assert_eq!(dev.driver.deadline_cycles, Some(9_999));
-        assert!(dev.driver.cpu_fallback);
+        assert_eq!(
+            dev.driver.policy,
+            DriverPolicy {
+                watchdog_cycles: 123,
+                max_retries: 7,
+                retry_backoff_cycles: 55,
+                deadline_cycles: Some(9_999),
+                cpu_fallback: true,
+                out_size: 4096,
+                force_separation: true,
+            },
+            "the policy's fields land; staging fields set beforehand survive"
+        );
         assert!(dev.driver.collect_perf);
 
         let mut hetero = HeterogeneousBackend::new(AccelConfig::wfasic_chip(), 2);
+        hetero.accel.sched.policy.out_size = 4096;
         hetero.apply_policy(&policy);
-        assert_eq!(hetero.accel.sched.watchdog_cycles, 123);
-        assert_eq!(hetero.accel.sched.retry_backoff_cycles, 55);
-        assert_eq!(hetero.accel.sched.deadline_cycles, Some(9_999));
-        assert_eq!(hetero.accel.sched.quarantine_threshold, 4);
-        assert_eq!(hetero.accel.sched.quarantine_cooldown, 1_000);
-        assert_eq!(hetero.accel.sched.retire_after, 2);
-        assert!(
-            !hetero.accel.sched.cpu_fallback,
-            "hetero owns recovery itself"
-        );
+        let sched = &hetero.accel.sched;
+        assert_eq!(sched.policy.watchdog_cycles, 123);
+        assert_eq!(sched.policy.retry_backoff_cycles, 55);
+        assert_eq!(sched.policy.deadline_cycles, Some(9_999));
+        assert_eq!(sched.policy.out_size, 4096);
+        assert_eq!(sched.quarantine_threshold, 4);
+        assert_eq!(sched.quarantine_cooldown, 1_000);
+        assert_eq!(sched.retire_after, 2);
+        assert!(!sched.policy.cpu_fallback, "hetero owns recovery itself");
     }
 }

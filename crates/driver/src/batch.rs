@@ -17,32 +17,28 @@
 //! counters each attribute *every* cycle of the batch window — so each
 //! lane's breakdown sums exactly to [`BatchResult::total_cycles`].
 //!
-//! Faults follow the single-device policy per lane: retries (with fresh
-//! per-lane fault streams), a watchdog bound, and optional CPU fallback —
-//! so one faulting lane degrades to software answers without stalling the
-//! rest of the batch.
+//! Faults follow the single-device [`DriverPolicy`] per lane: every lane
+//! job runs through the driver's one attempt loop — retries (with fresh
+//! per-lane fault streams), a watchdog bound, deadline refusal and optional
+//! CPU fallback — so one faulting lane degrades to software answers without
+//! stalling the rest of the batch. The lane supplies only its timeline
+//! (DMA start, compute gate, per-lane spans) and its health ledger.
 //!
 //! A 1-lane batch of one job is bit-identical to
 //! [`crate::WfasicDriver::submit`]: same register programming, same memory
 //! layout, same uncontended bus timing. The differential suite pins this.
 
 use crate::api::{
-    parse_bt_results_at, parse_nbt_results_at, AlignmentResult, DriverError, JobResult, MemLayout,
-    WaitMode, WfasicDriver,
+    AttemptPort, DriverError, DriverPolicy, JobEnd, JobResult, MemLayout, Stage, WaitMode,
+    WfasicDriver,
 };
-use crate::backend::CpuWfaBackend;
-use crate::cpu_model::BacktraceCosts;
 use wfa_core::pool::ThreadPool;
-use wfasic_accel::device::RunReport;
+use wfasic_accel::device::{RunReport, WfasicDevice};
 use wfasic_accel::multilane::MultiLaneSoc;
-use wfasic_accel::regs::offsets;
 use wfasic_accel::schedule::WavefrontSchedule;
 use wfasic_accel::AccelConfig;
-use wfasic_seqio::dataset::round_up_16;
 use wfasic_seqio::generate::Pair;
-use wfasic_seqio::memimage::InputImage;
 use wfasic_soc::arbiter::ArbiterStats;
-use wfasic_soc::bus::AxiLite;
 use wfasic_soc::clock::Cycle;
 use wfasic_soc::fault::{FaultCounters, FaultPlan};
 use wfasic_soc::mem::MainMemory;
@@ -67,7 +63,7 @@ pub struct BatchJob {
     /// Generate backtrace data (CIGARs) for this job?
     pub backtrace: bool,
     /// Optional cycle budget for this job (all attempts + retry backoff).
-    /// Overrides the scheduler-level [`BatchScheduler::deadline_cycles`];
+    /// Overrides the scheduler-level [`DriverPolicy::deadline_cycles`];
     /// when the budget runs out the job gets a typed
     /// [`DriverError::DeadlineExceeded`] refusal instead of waiting longer.
     pub deadline: Option<Cycle>,
@@ -108,9 +104,10 @@ impl BatchJob {
 }
 
 /// Circuit-breaker state of one lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum LaneState {
     /// In rotation, no open circuit.
+    #[default]
     Healthy,
     /// Open circuit: the lane takes no jobs until the epoch clock reaches
     /// `until`, at which point it is re-admitted on probation.
@@ -128,7 +125,7 @@ pub enum LaneState {
 }
 
 /// Rolling health record for one lane, fed by every job outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneHealth {
     /// Circuit-breaker state.
     pub state: LaneState,
@@ -153,19 +150,6 @@ pub struct LaneHealth {
 }
 
 impl LaneHealth {
-    fn new() -> Self {
-        LaneHealth {
-            state: LaneState::Healthy,
-            consecutive_failures: 0,
-            failed_jobs: 0,
-            failed_attempts: 0,
-            quarantines: 0,
-            readmissions: 0,
-            quarantined_at: 0,
-            last_recovery_cycles: 0,
-        }
-    }
-
     /// Is the lane accepting jobs right now?
     pub fn available(&self) -> bool {
         matches!(self.state, LaneState::Healthy | LaneState::Probation)
@@ -221,23 +205,11 @@ pub struct BatchScheduler {
     pub soc: MultiLaneSoc,
     /// Main memory shared by the CPU and every lane.
     pub mem: MainMemory,
-    /// AXI-Lite timing for register traffic.
-    pub axi_lite: AxiLite,
-    /// CPU backtrace cost model.
-    pub bt_costs: BacktraceCosts,
-    /// Dispatch policy.
-    pub policy: DispatchPolicy,
-    /// Per-job watchdog bound on the job *duration* (the driver's timer
-    /// against a wedged lane).
-    pub watchdog_cycles: Cycle,
-    /// Resubmit a failed job this many times before giving up.
-    pub max_retries: u32,
-    /// Simulated cycles of deterministic backoff before each retry; shifts
-    /// the retry's DMA start and counts against the deadline budget.
-    pub retry_backoff_cycles: Cycle,
-    /// Default cycle budget applied to every job without its own
-    /// [`BatchJob::deadline`]. `None` = no deadline.
-    pub deadline_cycles: Option<Cycle>,
+    /// How jobs are spread across lanes.
+    pub dispatch: DispatchPolicy,
+    /// Per-job watchdog / retry / deadline / fallback / staging policy,
+    /// applied on every lane (and to `run_parallel`'s private drivers).
+    pub policy: DriverPolicy,
     /// Quarantine a lane after this many consecutive job failures
     /// (0 = circuit breaker disabled; health counters still accumulate).
     pub quarantine_threshold: u32,
@@ -245,13 +217,6 @@ pub struct BatchScheduler {
     pub quarantine_cooldown: Cycle,
     /// Retire a lane permanently after this many quarantines (0 = never).
     pub retire_after: u32,
-    /// Re-run failed pairs (and fully-failed jobs) through the software WFA.
-    pub cpu_fallback: bool,
-    /// Force the data-separation backtrace method (see
-    /// [`crate::WfasicDriver::force_separation`]).
-    pub force_separation: bool,
-    /// Output-buffer size programmed into `OUT_SIZE` (0 = unbounded).
-    pub out_size: u64,
     /// Collect per-stage attribution on every lane.
     pub collect_perf: bool,
     cfg: AccelConfig,
@@ -276,24 +241,16 @@ impl BatchScheduler {
         BatchScheduler {
             soc: MultiLaneSoc::new(cfg, lanes),
             mem: MainMemory::with_default_cap(),
-            axi_lite: AxiLite::default(),
-            bt_costs: BacktraceCosts::default(),
-            policy: DispatchPolicy::RoundRobin,
-            watchdog_cycles: 1 << 40,
-            max_retries: 1,
-            retry_backoff_cycles: 0,
-            deadline_cycles: None,
+            dispatch: DispatchPolicy::RoundRobin,
+            policy: DriverPolicy::default(),
             quarantine_threshold: 0,
             quarantine_cooldown: 0,
             retire_after: 0,
-            cpu_fallback: false,
-            force_separation: false,
-            out_size: 0,
             collect_perf: false,
             cfg,
             schedule,
             layouts: (0..lanes).map(MemLayout::for_lane).collect(),
-            health: (0..lanes).map(|_| LaneHealth::new()).collect(),
+            health: vec![LaneHealth::default(); lanes],
             epoch: 0,
             epoch_extra: 0,
             degraded_jobs: 0,
@@ -354,8 +311,8 @@ impl BatchScheduler {
     /// Run a queue of **independent single-lane jobs** across host threads.
     ///
     /// Each job runs on a private one-lane [`WfasicDriver`] carrying this
-    /// scheduler's policy (watchdog, retries, CPU fallback, separation,
-    /// `OUT_SIZE`, perf collection), so jobs share no simulated state:
+    /// scheduler's [`DriverPolicy`] and perf collection (the job's own
+    /// deadline overriding the policy's), so jobs share no simulated state:
     /// every job's device starts at cycle 0 with a private port. Host
     /// threads only change wall-clock — results come back in submission
     /// order and each [`JobResult`] (cycles, perf counters, everything) is
@@ -388,17 +345,7 @@ impl BatchScheduler {
         // Copy the policy out of `self`: the worker closure must not
         // capture the scheduler itself (the shared SoC is single-threaded
         // state and is not touched by this path).
-        let cfg = self.cfg;
-        let axi_lite = self.axi_lite;
-        let bt_costs = self.bt_costs;
-        let force_separation = self.force_separation;
-        let watchdog_cycles = self.watchdog_cycles;
-        let max_retries = self.max_retries;
-        let retry_backoff_cycles = self.retry_backoff_cycles;
-        let deadline_cycles = self.deadline_cycles;
-        let cpu_fallback = self.cpu_fallback;
-        let out_size = self.out_size;
-        let collect_perf = self.collect_perf;
+        let (cfg, policy, collect_perf) = (self.cfg, self.policy, self.collect_perf);
         ThreadPool::new(threads).map(jobs, move |_, job| {
             WORKER_DRIVER.with(|slot| {
                 let mut slot = slot.borrow_mut();
@@ -409,15 +356,10 @@ impl BatchScheduler {
                     Some(d) if d.device.cfg == cfg => d,
                     _ => slot.insert(WfasicDriver::new(cfg)),
                 };
-                drv.axi_lite = axi_lite;
-                drv.bt_costs = bt_costs;
-                drv.force_separation = force_separation;
-                drv.watchdog_cycles = watchdog_cycles;
-                drv.max_retries = max_retries;
-                drv.retry_backoff_cycles = retry_backoff_cycles;
-                drv.deadline_cycles = job.deadline.or(deadline_cycles);
-                drv.cpu_fallback = cpu_fallback;
-                drv.out_size = out_size;
+                drv.policy = DriverPolicy {
+                    deadline_cycles: job.deadline.or(policy.deadline_cycles),
+                    ..policy
+                };
                 drv.collect_perf = collect_perf;
                 drv.layout = MemLayout::default();
                 drv.submit(&job.pairs, job.backtrace, WaitMode::PollIdle)
@@ -456,7 +398,7 @@ impl BatchScheduler {
                 lanes[i] = i % n;
             }
         } else {
-            match self.policy {
+            match self.dispatch {
                 DispatchPolicy::RoundRobin => {
                     for i in 0..jobs.len() {
                         let lane = avail[i % avail.len()];
@@ -601,7 +543,7 @@ impl BatchScheduler {
     /// [`DriverError::Quarantined`] refusal otherwise. Charges a modeled
     /// software cost to the epoch clock so degraded time still passes.
     fn degrade_job(&mut self, job: &BatchJob, lane: usize) -> Result<JobResult, DriverError> {
-        if !self.cpu_fallback {
+        if !self.policy.cpu_fallback {
             return Err(DriverError::Quarantined { lane });
         }
         self.degraded_jobs += 1;
@@ -613,38 +555,17 @@ impl BatchScheduler {
                 costs.per_alignment + ((p.a.len() + p.b.len()) as f64 * costs.per_base) as Cycle
             })
             .sum::<Cycle>();
-        let mut cpu = CpuWfaBackend::new(self.cfg.penalties);
-        let results: Vec<AlignmentResult> = job
-            .pairs
-            .iter()
-            .map(|p| cpu.recover_pair(p, job.backtrace))
-            .collect();
-        Ok(JobResult {
-            results,
-            report: RunReport {
-                total_cycles: 0,
-                start: 0,
-                input_done: 0,
-                pairs: Vec::new(),
-                output_bytes: 0,
-                bus: Default::default(),
-                bus_utilization: 0.0,
-                aligner_busy: Vec::new(),
-                interrupt_raised: false,
-                error: None,
-                faults: FaultCounters::default(),
-                perf: None,
-            },
-            config_cycles: 0,
-            cpu_backtrace_cycles: 0,
-            separated: self.force_separation || self.cfg.num_aligners > 1,
-            retries: 0,
-        })
+        Ok(JobResult::recovered(
+            self.cfg.penalties,
+            &job.pairs,
+            job.backtrace,
+            self.policy.separates(&self.cfg),
+        ))
     }
 
-    /// Run one job on `lane`, starting its DMA at `*dma_free` and its
-    /// compute at `*compute_free`; advance both on success. Mirrors
-    /// [`crate::WfasicDriver::submit`]'s retry/watchdog/fallback policy.
+    /// Run one job on `lane` through the driver's attempt loop, starting
+    /// its DMA at `*dma_free` and its compute at `*compute_free`; advance
+    /// both past the job, then feed the outcome to the lane's health.
     fn run_job(
         &mut self,
         lane: usize,
@@ -653,180 +574,103 @@ impl BatchScheduler {
         compute_free: &mut Cycle,
         lane_spans: &mut Vec<Span>,
     ) -> Result<JobResult, DriverError> {
-        let layout = self.layouts[lane];
-        let max_read_len = round_up_16(
-            job.pairs
-                .iter()
-                .map(|p| p.a.len().max(p.b.len()))
-                .max()
-                .unwrap_or(16)
-                .max(16),
-        );
-        let img = InputImage::encode_raw(&job.pairs, max_read_len);
-        if layout.in_addr + img.bytes.len() as u64 > layout.out_addr {
-            return Err(DriverError::BatchTooLarge {
-                bytes: img.bytes.len(),
-            });
-        }
-
-        let separated = self.force_separation || self.cfg.num_aligners > 1;
-        let mut cpu = CpuWfaBackend::new(self.cfg.penalties);
-        let mut config_cycles: Cycle = 0;
-        let mut last_err = DriverError::Timeout {
-            waited: 0,
-            watchdog: self.watchdog_cycles,
+        let stage = Stage {
+            dev: self.soc.lane_mut(lane),
+            mem: &mut self.mem,
+            layout: self.layouts[lane],
+            schedule: &self.schedule,
+            policy: DriverPolicy {
+                deadline_cycles: job.deadline.or(self.policy.deadline_cycles),
+                ..self.policy
+            },
+            collect_perf: self.collect_perf,
         };
-        let mut last_report: Option<RunReport> = None;
-        // The first attempt overlaps with the previous job's compute; a
-        // retry replays the job after the failed attempt's completion (plus
-        // the configured backoff).
-        let mut dma_start = *dma_free;
-        // Cycle budget: every attempt's duration and every retry backoff
-        // counts against the job's (or the scheduler's) deadline.
-        let budget = job.deadline.or(self.deadline_cycles);
-        let mut spent: Cycle = 0;
-
-        for attempt in 0..=self.max_retries {
-            if attempt > 0 {
-                spent += self.retry_backoff_cycles;
-                dma_start += self.retry_backoff_cycles;
-            }
-            self.mem.write(layout.in_addr, &img.bytes);
-            let a = |off| offsets::lane_addr(lane, off);
-            self.soc
-                .mmio_write(a(offsets::BT_ENABLE), job.backtrace as u64);
-            self.soc
-                .mmio_write(a(offsets::MAX_READ_LEN), max_read_len as u64);
-            self.soc.mmio_write(a(offsets::IN_ADDR), layout.in_addr);
-            self.soc
-                .mmio_write(a(offsets::IN_SIZE), img.bytes.len() as u64);
-            self.soc.mmio_write(a(offsets::OUT_ADDR), layout.out_addr);
-            self.soc.mmio_write(a(offsets::OUT_SIZE), self.out_size);
-            self.soc
-                .mmio_write(a(offsets::PERF_CTRL), self.collect_perf as u64);
-            self.soc.mmio_write(a(offsets::IRQ_ENABLE), 0);
-            self.soc.mmio_write(a(offsets::START), 1);
-            config_cycles += self.axi_lite.cycles_for(9);
-
-            let report = self
-                .soc
-                .run_lane_at(lane, &mut self.mem, dma_start, *compute_free);
-            if let Some(perf) = &report.perf {
-                lane_spans.extend_from_slice(&perf.spans);
-            }
-            let waited = report.duration();
-
-            spent += waited;
-            if let Some(b) = budget {
-                // Budget exhausted: refuse with the typed error instead of
-                // parsing, retrying or falling back — a late answer is
-                // still a missed deadline. The lane's timeline advances
-                // past the attempt (the silicon ran regardless), and the
-                // refusal is a policy outcome, not a lane fault: it never
-                // feeds the circuit breaker.
-                if spent > b {
-                    *dma_free = (*dma_free).max(report.input_done);
-                    *compute_free = (*compute_free).max(report.total_cycles);
-                    self.deadline_refusals += 1;
-                    return Err(DriverError::DeadlineExceeded { budget: b, spent });
+        let mut port = LanePort {
+            dma_start: *dma_free,
+            dma_free,
+            compute_free,
+            spans: lane_spans,
+            failed_attempts: 0,
+            end: None,
+        };
+        let outcome = stage.run(&job.pairs, job.backtrace, &mut port);
+        let h = &mut self.health[lane];
+        h.failed_attempts += port.failed_attempts;
+        match port.end {
+            // A hardware answer closes the breaker window: the
+            // consecutive-failure count resets, and a probation lane has
+            // earned back full health.
+            Some(JobEnd::Answered) => {
+                h.consecutive_failures = 0;
+                if h.state == LaneState::Probation {
+                    h.state = LaneState::Healthy;
                 }
             }
-            if waited > self.watchdog_cycles {
-                last_err = DriverError::Timeout {
-                    waited,
-                    watchdog: self.watchdog_cycles,
-                };
-                dma_start = report.total_cycles;
-                last_report = Some(report);
-                self.health[lane].failed_attempts += 1;
-                continue;
+            // A deadline refusal is a policy outcome, not a lane fault: it
+            // never feeds the circuit breaker.
+            Some(JobEnd::Refused) => self.deadline_refusals += 1,
+            // The lane burned every retry, which is what the circuit
+            // breaker counts (whether or not the CPU then recovered).
+            Some(JobEnd::Exhausted) => {
+                let now = self.epoch + *port.compute_free;
+                self.note_lane_failure(lane, now);
             }
-            if let Some(e) = report.error {
-                last_err = DriverError::Device(e);
-                dma_start = report.total_cycles;
-                last_report = Some(report);
-                self.health[lane].failed_attempts += 1;
-                continue;
-            }
-
-            let parsed = if job.backtrace {
-                parse_bt_results_at(
-                    &self.mem,
-                    layout.out_addr,
-                    &self.schedule,
-                    &self.cfg,
-                    &self.bt_costs,
-                    &job.pairs,
-                    &report,
-                    separated,
-                )
-            } else {
-                Ok((
-                    parse_nbt_results_at(&self.mem, layout.out_addr, &job.pairs, &report),
-                    0,
-                ))
-            };
-            match parsed {
-                Ok((mut results, cpu_backtrace_cycles)) => {
-                    if self.cpu_fallback {
-                        for (res, pair) in results.iter_mut().zip(&job.pairs) {
-                            if !res.success {
-                                *res = cpu.recover_pair(pair, job.backtrace);
-                            }
-                        }
-                    }
-                    *dma_free = report.input_done;
-                    *compute_free = report.total_cycles;
-                    // A hardware answer closes the breaker window: the
-                    // consecutive-failure count resets, and a probation
-                    // lane has earned back full health.
-                    let h = &mut self.health[lane];
-                    h.consecutive_failures = 0;
-                    if h.state == LaneState::Probation {
-                        h.state = LaneState::Healthy;
-                    }
-                    return Ok(JobResult {
-                        results,
-                        report,
-                        config_cycles,
-                        cpu_backtrace_cycles,
-                        separated,
-                        retries: attempt,
-                    });
-                }
-                Err(e) => {
-                    last_err = DriverError::Stream(e);
-                    dma_start = report.total_cycles;
-                    last_report = Some(report);
-                    self.health[lane].failed_attempts += 1;
-                }
-            }
+            // Refused before staging (oversized image): the lane never ran.
+            None => {}
         }
+        outcome
+    }
+}
 
-        // Retries exhausted: recover the whole job on the CPU or surface
-        // the last failure. Either way the lane's timeline advances past
-        // the failed attempts, so the rest of the batch is not stalled —
-        // and either way the lane just burned every retry, which is what
-        // the circuit breaker counts.
-        let report = last_report.expect("at least one attempt ran");
-        *dma_free = report.input_done.max(*dma_free);
-        *compute_free = report.total_cycles.max(*compute_free);
-        self.note_lane_failure(lane, self.epoch + *compute_free);
-        if self.cpu_fallback {
-            let results: Vec<AlignmentResult> = job
-                .pairs
-                .iter()
-                .map(|p| cpu.recover_pair(p, job.backtrace))
-                .collect();
-            return Ok(JobResult {
-                results,
-                report,
-                config_cycles,
-                cpu_backtrace_cycles: 0,
-                separated,
-                retries: self.max_retries,
-            });
+/// One scheduler lane's side of the attempt loop: attempts run on the
+/// lane's overlapped timeline (the first overlaps the previous job's
+/// compute; a retry replays after the failed attempt plus the backoff), and
+/// the lane's free cycles move past the job however it ends. Unlike the
+/// lone driver it never acks a stray `IRQ_PENDING`: lanes always poll.
+struct LanePort<'a> {
+    dma_start: Cycle,
+    dma_free: &'a mut Cycle,
+    compute_free: &'a mut Cycle,
+    spans: &'a mut Vec<Span>,
+    failed_attempts: u64,
+    end: Option<JobEnd>,
+}
+
+impl AttemptPort for LanePort<'_> {
+    fn irq_enable(&self) -> bool {
+        false
+    }
+
+    fn launch(
+        &mut self,
+        dev: &mut WfasicDevice,
+        mem: &mut MainMemory,
+        backoff: Cycle,
+    ) -> RunReport {
+        self.dma_start += backoff;
+        let report = dev.run_at(mem, self.dma_start, *self.compute_free);
+        if let Some(perf) = &report.perf {
+            self.spans.extend_from_slice(&perf.spans);
         }
-        Err(last_err)
+        report
+    }
+
+    fn attempt_failed(&mut self, report: &RunReport) {
+        self.dma_start = report.total_cycles;
+        self.failed_attempts += 1;
+    }
+
+    fn settle(&mut self, report: &RunReport, end: JobEnd) {
+        if end == JobEnd::Answered {
+            *self.dma_free = report.input_done;
+            *self.compute_free = report.total_cycles;
+        } else {
+            // The silicon ran regardless: the timeline advances past the
+            // refused or failed attempts, so the rest of the batch is not
+            // stalled.
+            *self.dma_free = (*self.dma_free).max(report.input_done);
+            *self.compute_free = (*self.compute_free).max(report.total_cycles);
+        }
+        self.end = Some(end);
     }
 }

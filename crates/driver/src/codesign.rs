@@ -94,7 +94,7 @@ pub fn run_experiment(
     force_separation: bool,
 ) -> ExperimentResult {
     let mut drv = WfasicDriver::new(*cfg);
-    drv.force_separation = force_separation;
+    drv.policy.force_separation = force_separation;
     let job = drv
         .submit(pairs, backtrace, WaitMode::PollIdle)
         .expect("fault-free experiment job cannot fail");

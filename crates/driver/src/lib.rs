@@ -29,7 +29,9 @@ pub mod cpu_model;
 pub mod faults;
 pub mod riscv_backend;
 
-pub use api::{AlignmentResult, DriverError, JobResult, MemLayout, WaitMode, WfasicDriver};
+pub use api::{
+    AlignmentResult, DriverError, DriverPolicy, JobResult, MemLayout, WaitMode, WfasicDriver,
+};
 pub use backend::{
     AlignPolicy, AlignmentBackend, BackendBatch, BackendCounters, BackendKind, Capabilities,
     CpuRoute, CpuWfaBackend, DeviceBackend, HeterogeneousBackend, MultiLaneBackend, StrategySelect,

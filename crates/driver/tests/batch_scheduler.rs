@@ -94,7 +94,7 @@ fn both_policies_preserve_submission_order_and_lane_accounting() {
     let cfg = AccelConfig::wfasic_chip();
     for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::ShortestQueue] {
         let mut sched = BatchScheduler::new(cfg, 3);
-        sched.policy = policy;
+        sched.dispatch = policy;
         let mut jobs: Vec<BatchJob> = (0..7)
             .map(|i| BatchJob::score_only(pairs(1 + i % 3, 60 + 20 * (i % 4), 40 + i as u64)))
             .collect();
@@ -161,7 +161,7 @@ fn per_lane_counters_attribute_every_cycle_of_the_batch_window() {
 fn a_faulting_lane_degrades_to_cpu_answers_without_stalling_the_batch() {
     let cfg = AccelConfig::wfasic_chip();
     let mut sched = BatchScheduler::new(cfg, 2);
-    sched.cpu_fallback = true;
+    sched.policy.cpu_fallback = true;
     sched.set_lane_fault_plan(
         1,
         FaultPlan {
@@ -232,12 +232,12 @@ fn batches_never_drop_duplicate_or_reorder_jobs() {
         let n_jobs = rng.gen_range(1, 7);
         let cfg = AccelConfig::wfasic_chip();
         let mut sched = BatchScheduler::new(cfg, lanes);
-        sched.policy = if rng.gen_bool(0.5) {
+        sched.dispatch = if rng.gen_bool(0.5) {
             DispatchPolicy::RoundRobin
         } else {
             DispatchPolicy::ShortestQueue
         };
-        sched.cpu_fallback = true;
+        sched.policy.cpu_fallback = true;
         // Sometimes poison one lane; cpu_fallback still answers everything.
         if rng.gen_bool(0.4) {
             let victim = rng.gen_range(0, lanes);
@@ -436,8 +436,8 @@ fn a_corrupted_doorbell_does_not_wedge_the_lane_forever() {
     // lane. The FSM must consume a malformed doorbell when it refuses it.
     let cfg = AccelConfig::wfasic_chip();
     let mut sched = BatchScheduler::new(cfg, 1);
-    sched.cpu_fallback = true;
-    sched.max_retries = 0;
+    sched.policy.cpu_fallback = true;
+    sched.policy.max_retries = 0;
     sched.set_lane_fault_plan(
         0,
         FaultPlan {

@@ -24,12 +24,12 @@
 //! 3 device/driver error (watchdog, refused job, corrupt result stream),
 //! 4 service backpressure.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
+use wfasic::accel::device::RunReport;
 use wfasic::accel::AccelConfig;
 use wfasic::driver::batch::BatchJob;
-use wfasic::driver::{AlignPolicy, BackendKind, StrategySelect};
+use wfasic::driver::{AlignPolicy, AlignmentResult, BackendKind, StrategySelect};
 use wfasic::seqio::fasta::read_fasta;
 use wfasic::seqio::Pair;
 use wfasic::service::{AlignmentService, ServiceConfig, ServiceError};
@@ -49,6 +49,23 @@ fn usage() -> ! {
          [--long-read-threshold N]"
     );
     std::process::exit(EXIT_USAGE);
+}
+
+/// Per-result device cycles `(align, read)`, when a device-backed backend
+/// ran the pair. Each report lists its pairs in submission order, and the
+/// reports come in dispatch order, so the report entries are walked in step
+/// with the results: an entry belongs to the next result carrying its ID.
+/// Pairs no device ran (CPU-routed on `hetero`) get `None`.
+fn pair_cycles(results: &[AlignmentResult], reports: &[RunReport]) -> Vec<Option<(u64, u64)>> {
+    let mut entries = reports.iter().flat_map(|r| &r.pairs).peekable();
+    results
+        .iter()
+        .map(|res| {
+            entries
+                .next_if(|p| p.id == res.id)
+                .map(|p| (p.align_cycles, p.read_cycles))
+        })
+        .collect()
 }
 
 fn main() {
@@ -206,16 +223,8 @@ fn main() {
         std::process::exit(EXIT_DRIVER);
     });
 
-    // Per-pair device cycles, when a device-backed backend ran the pair
-    // (the hardware reports IDs truncated to the record format's 16 bits).
-    let pair_cycles: HashMap<u32, (u64, u64)> = batch
-        .reports
-        .iter()
-        .flat_map(|r| &r.pairs)
-        .map(|p| (p.id, (p.align_cycles, p.read_cycles)))
-        .collect();
-
-    for (res, ra) in batch.results.iter().zip(&recs_a) {
+    let cycles = pair_cycles(&batch.results, &batch.reports);
+    for ((res, ra), cycles) in batch.results.iter().zip(&recs_a).zip(cycles) {
         let status = if res.success { "OK" } else { "FAIL" };
         let cigar = res
             .cigar
@@ -227,7 +236,7 @@ fn main() {
             ra.name, status, res.score, cigar
         );
         if show_cycles {
-            match pair_cycles.get(&(res.id & 0xFFFF)) {
+            match cycles {
                 Some((align, read)) => {
                     print!("\talign_cycles={align}\tread_cycles={read}")
                 }
@@ -250,5 +259,62 @@ fn main() {
                 backend.name()
             ),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wfasic::accel::device::PairReport;
+
+    fn result(id: u32) -> AlignmentResult {
+        AlignmentResult {
+            id,
+            success: true,
+            score: 0,
+            cigar: None,
+            recovered: false,
+        }
+    }
+
+    fn report(entries: &[(u32, u64)]) -> RunReport {
+        RunReport {
+            pairs: entries
+                .iter()
+                .map(|&(id, cycles)| PairReport {
+                    id,
+                    success: true,
+                    score: 0,
+                    read_cycles: cycles + 1,
+                    align_cycles: cycles,
+                    start: 0,
+                    done: 0,
+                    aligner: 0,
+                    stats: Default::default(),
+                })
+                .collect(),
+            ..RunReport::default()
+        }
+    }
+
+    #[test]
+    fn ids_65536_apart_keep_their_own_cycles() {
+        // 0 and 65,536 collide in the 16-bit record ID field.
+        let results = [result(0), result(65_536), result(131_072)];
+        let reports = [report(&[(0, 10), (65_536, 20)]), report(&[(131_072, 30)])];
+        assert_eq!(
+            pair_cycles(&results, &reports),
+            vec![Some((10, 11)), Some((20, 21)), Some((30, 31))]
+        );
+    }
+
+    #[test]
+    fn pairs_no_device_ran_have_no_cycles() {
+        let results = [result(0), result(1), result(2)];
+        let reports = [report(&[(0, 10), (2, 30)])];
+        assert_eq!(
+            pair_cycles(&results, &reports),
+            vec![Some((10, 11)), None, Some((30, 31))]
+        );
     }
 }

@@ -242,7 +242,7 @@ fn hetero_never_drops_duplicates_or_reorders_under_violations_and_faults() {
                     ..FaultPlan::none()
                 },
             );
-            backend.accel.sched.max_retries = rng.gen_range(0, 3) as u32;
+            backend.accel.sched.policy.max_retries = rng.gen_range(0, 3) as u32;
         }
 
         let n_pairs = rng.gen_range(4, 16);
