@@ -126,7 +126,8 @@ pub struct WfasicDevice {
     pub cfg: AccelConfig,
     /// The AXI-Lite register file.
     pub regs: RegFile,
-    schedule: WavefrontSchedule,
+    /// The wavefront schedule for `cfg`, shared by the lanes of one SoC.
+    schedule: Rc<WavefrontSchedule>,
     /// Installed fault plan (`None` = fault-free operation).
     fault_plan: Option<FaultPlan>,
     /// Faults injected across all jobs (bus + FIFO streams).
@@ -147,7 +148,12 @@ impl WfasicDevice {
     /// Instantiate a device.
     pub fn new(cfg: AccelConfig) -> Self {
         cfg.validate().expect("invalid accelerator configuration");
-        let schedule = WavefrontSchedule::for_config(&cfg);
+        Self::with_schedule(cfg, Rc::new(WavefrontSchedule::for_config(&cfg)))
+    }
+
+    /// A device reusing `schedule`, which must be built for `cfg` (lanes of
+    /// one SoC share one).
+    pub(crate) fn with_schedule(cfg: AccelConfig, schedule: Rc<WavefrontSchedule>) -> Self {
         let mut regs = RegFile::new();
         for ro in [
             offsets::IDLE,
@@ -192,6 +198,12 @@ impl WfasicDevice {
             self.clear_fault_plan();
             self.set_fault_plan(plan);
         }
+    }
+
+    /// The wavefront schedule the Aligners emit (the CPU backtrace walks the
+    /// same one).
+    pub fn schedule(&self) -> &WavefrontSchedule {
+        &self.schedule
     }
 
     /// This device's lane ID.

@@ -22,6 +22,7 @@
 use crate::config::AccelConfig;
 use crate::device::{RunReport, WfasicDevice};
 use crate::regs::offsets;
+use crate::schedule::WavefrontSchedule;
 use std::cell::RefCell;
 use std::rc::Rc;
 use wfasic_soc::arbiter::{ArbiterStats, BusArbiter};
@@ -40,10 +41,12 @@ impl MultiLaneSoc {
     /// An SoC with `n` identically-configured lanes. `n` must be at least 1.
     pub fn new(cfg: AccelConfig, n: usize) -> Self {
         assert!(n >= 1, "an SoC needs at least one lane");
+        cfg.validate().expect("invalid accelerator configuration");
         let arbiter = Rc::new(RefCell::new(BusArbiter::new(n)));
+        let schedule = Rc::new(WavefrontSchedule::for_config(&cfg));
         let lanes = (0..n)
             .map(|lane| {
-                let mut dev = WfasicDevice::new(cfg).with_lane(lane);
+                let mut dev = WfasicDevice::with_schedule(cfg, schedule.clone()).with_lane(lane);
                 dev.attach_shared_bus(arbiter.clone());
                 dev
             })

@@ -1,7 +1,7 @@
 //! Minimal wall-clock timing harness for the `benches/` entry points
 //! (`harness = false`). The offline build environment has no external bench
 //! framework, so each bench is a plain `main()` reporting per-iteration
-//! statistics via [`bench()`] / [`measure()`].
+//! statistics via [`bench()`] / [`measure()`] / [`measure_for()`].
 
 use std::time::Instant;
 
@@ -30,19 +30,28 @@ fn percentile(sorted: &[f64], pct: f64) -> f64 {
 
 /// Run `f` for `iters` timed iterations (after one warmup call) and return
 /// the per-iteration statistics.
-pub fn measure<T, F: FnMut() -> T>(iters: usize, mut f: F) -> TimingStats {
+pub fn measure<T, F: FnMut() -> T>(iters: usize, f: F) -> TimingStats {
+    measure_for(iters, 0.0, f)
+}
+
+/// Like [`measure`], but keep sampling past `iters` until at least `min_ms`
+/// of iterations have been timed, so a millisecond-scale call is judged on
+/// the median of many samples rather than on one.
+pub fn measure_for<T, F: FnMut() -> T>(iters: usize, min_ms: f64, mut f: F) -> TimingStats {
     std::hint::black_box(f());
-    let iters = iters.max(1);
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
+    let mut samples = Vec::with_capacity(iters.max(1));
+    let mut total_ms = 0.0;
+    while samples.len() < iters.max(1) || total_ms < min_ms {
         let t0 = Instant::now();
         std::hint::black_box(f());
-        samples.push(t0.elapsed().as_secs_f64() * 1e3);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        samples.push(ms);
+        total_ms += ms;
     }
-    let mean_ms = samples.iter().sum::<f64>() / iters as f64;
+    let iters = samples.len();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("elapsed times are finite"));
     TimingStats {
-        mean_ms,
+        mean_ms: total_ms / iters as f64,
         best_ms: samples[0],
         p50_ms: percentile(&samples, 50.0),
         p99_ms: percentile(&samples, 99.0),
@@ -88,6 +97,15 @@ mod tests {
         assert_eq!(percentile(&[4.0], 99.0), 4.0);
         assert_eq!(percentile(&[1.0, 2.0], 50.0), 1.0);
         assert_eq!(percentile(&[1.0, 2.0], 99.0), 2.0);
+    }
+
+    #[test]
+    fn measure_for_samples_at_least_the_minimum_duration() {
+        let s = measure_for(1, 5.0, || {
+            std::thread::sleep(std::time::Duration::from_millis(1))
+        });
+        assert!(s.mean_ms * s.iters as f64 >= 5.0);
+        assert!(s.best_ms >= 1.0);
     }
 
     #[test]

@@ -33,7 +33,6 @@ use wfa_core::cigar::Cigar;
 use wfa_core::Penalties;
 use wfasic_accel::device::{RunReport, WfasicDevice};
 use wfasic_accel::regs::{offsets, DeviceError};
-use wfasic_accel::schedule::WavefrontSchedule;
 use wfasic_accel::AccelConfig;
 use wfasic_seqio::dataset::round_up_16;
 use wfasic_seqio::generate::Pair;
@@ -44,9 +43,9 @@ use wfasic_soc::mem::MainMemory;
 use wfasic_soc::perf::{JobPerf, PerfCounters};
 
 /// Where a driver stages a job in main memory. The defaults put the input
-/// image at 1 MiB and results at 16 MiB (the backing store grows on demand;
-/// a modest output base keeps the simulated-DRAM allocation small for
-/// typical jobs). A multi-lane batch gives every lane its own layout so
+/// image at 1 MiB and results at 16 MiB. Main memory is paged, so a job
+/// backs only the pages its image and results touch, however high the
+/// windows sit. A multi-lane batch gives every lane its own layout so
 /// concurrent jobs never collide — the driver used to hardcode one global
 /// pair of addresses, a latent single-instance assumption.
 ///
@@ -350,20 +349,17 @@ pub struct WfasicDriver {
     pub collect_perf: bool,
     /// Where jobs are staged in main memory.
     pub layout: MemLayout,
-    schedule: WavefrontSchedule,
 }
 
 impl WfasicDriver {
     /// Bring up a device with the given configuration.
     pub fn new(cfg: AccelConfig) -> Self {
-        let schedule = WavefrontSchedule::for_config(&cfg);
         WfasicDriver {
             device: WfasicDevice::new(cfg),
             mem: MainMemory::with_default_cap(),
             policy: DriverPolicy::default(),
             collect_perf: false,
             layout: MemLayout::default(),
-            schedule,
         }
     }
 
@@ -383,7 +379,6 @@ impl WfasicDriver {
             dev: &mut self.device,
             mem: &mut self.mem,
             layout: self.layout,
-            schedule: &self.schedule,
             policy: self.policy,
             collect_perf: self.collect_perf,
         };
@@ -457,7 +452,6 @@ pub(crate) struct Stage<'a> {
     pub dev: &'a mut WfasicDevice,
     pub mem: &'a mut MainMemory,
     pub layout: MemLayout,
-    pub schedule: &'a WavefrontSchedule,
     pub policy: DriverPolicy,
     pub collect_perf: bool,
 }
@@ -631,7 +625,7 @@ impl Stage<'_> {
         let by_id: std::collections::HashMap<u32, &BtAlignment> =
             alignments.iter().map(|a| (a.id, a)).collect();
 
-        let (schedule, cfg) = (self.schedule, &self.dev.cfg);
+        let (schedule, cfg) = (self.dev.schedule(), &self.dev.cfg);
         let p = cfg.penalties;
         let ps = cfg.parallel_sections;
         let bt_costs = BacktraceCosts::default();
@@ -681,6 +675,22 @@ mod tests {
     use wfasic_accel::regs::error_code;
     use wfasic_seqio::dataset::InputSetSpec;
     use wfasic_soc::fault::FaultPlan;
+
+    #[test]
+    fn a_cold_submit_backs_only_the_pages_it_touches() {
+        // The output window sits at 16 MiB; a flat memory model zero-filled
+        // everything below it before the first result byte.
+        let pairs = InputSetSpec {
+            length: 1000,
+            error_pct: 5,
+        }
+        .generate(28, 7)
+        .pairs;
+        let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
+        let job = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap();
+        assert!(job.results.iter().all(|r| r.success));
+        assert!(drv.mem.len() < 1 << 20, "backed {} bytes", drv.mem.len());
+    }
 
     #[test]
     fn nbt_job_results_match_software() {

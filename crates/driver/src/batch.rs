@@ -35,7 +35,6 @@ use crate::api::{
 use wfa_core::pool::ThreadPool;
 use wfasic_accel::device::{RunReport, WfasicDevice};
 use wfasic_accel::multilane::MultiLaneSoc;
-use wfasic_accel::schedule::WavefrontSchedule;
 use wfasic_accel::AccelConfig;
 use wfasic_seqio::generate::Pair;
 use wfasic_soc::arbiter::ArbiterStats;
@@ -220,7 +219,6 @@ pub struct BatchScheduler {
     /// Collect per-stage attribution on every lane.
     pub collect_perf: bool,
     cfg: AccelConfig,
-    schedule: WavefrontSchedule,
     layouts: Vec<MemLayout>,
     health: Vec<LaneHealth>,
     /// Monotone cross-batch clock: per-batch timelines restart at 0, so
@@ -237,7 +235,6 @@ pub struct BatchScheduler {
 impl BatchScheduler {
     /// A scheduler over `lanes` identically-configured lanes.
     pub fn new(cfg: AccelConfig, lanes: usize) -> Self {
-        let schedule = WavefrontSchedule::for_config(&cfg);
         BatchScheduler {
             soc: MultiLaneSoc::new(cfg, lanes),
             mem: MainMemory::with_default_cap(),
@@ -248,7 +245,6 @@ impl BatchScheduler {
             retire_after: 0,
             collect_perf: false,
             cfg,
-            schedule,
             layouts: (0..lanes).map(MemLayout::for_lane).collect(),
             health: vec![LaneHealth::default(); lanes],
             epoch: 0,
@@ -319,13 +315,9 @@ impl BatchScheduler {
     /// bit-identical to a sequential `WfasicDriver::submit` of the same
     /// pairs, at any `threads` value.
     ///
-    /// Each worker thread keeps one warm driver and reuses it across its
-    /// queue (fresh drivers pay milliseconds of host-side allocation —
-    /// arena, scratch, memory image — per job). Reuse is safe because
-    /// [`WfasicDriver::submit`] restages memory, reprograms every register
-    /// and restarts the simulated timeline at cycle 0 on every call, and
-    /// these drivers never carry fault plans; the parallel differential
-    /// suite pins reuse against fresh-driver submits bit for bit.
+    /// Worker threads keep no state between jobs. A fresh driver is cheap:
+    /// the simulated DRAM is paged, so results at the 16 MiB output window
+    /// back only the pages the job touches.
     ///
     /// This is the throughput path for embarrassingly-parallel work. It is
     /// deliberately distinct from [`BatchScheduler::submit_batch`]: the
@@ -338,32 +330,18 @@ impl BatchScheduler {
         jobs: &[BatchJob],
         threads: usize,
     ) -> Vec<Result<JobResult, DriverError>> {
-        thread_local! {
-            static WORKER_DRIVER: std::cell::RefCell<Option<WfasicDriver>> =
-                const { std::cell::RefCell::new(None) };
-        }
         // Copy the policy out of `self`: the worker closure must not
         // capture the scheduler itself (the shared SoC is single-threaded
         // state and is not touched by this path).
         let (cfg, policy, collect_perf) = (self.cfg, self.policy, self.collect_perf);
         ThreadPool::new(threads).map(jobs, move |_, job| {
-            WORKER_DRIVER.with(|slot| {
-                let mut slot = slot.borrow_mut();
-                // The cached driver survives across `run_parallel` calls on
-                // a long-lived thread (e.g. `threads == 1` runs on the
-                // caller); rebuild it whenever the device shape changed.
-                let drv = match slot.as_mut() {
-                    Some(d) if d.device.cfg == cfg => d,
-                    _ => slot.insert(WfasicDriver::new(cfg)),
-                };
-                drv.policy = DriverPolicy {
-                    deadline_cycles: job.deadline.or(policy.deadline_cycles),
-                    ..policy
-                };
-                drv.collect_perf = collect_perf;
-                drv.layout = MemLayout::default();
-                drv.submit(&job.pairs, job.backtrace, WaitMode::PollIdle)
-            })
+            let mut drv = WfasicDriver::new(cfg);
+            drv.policy = DriverPolicy {
+                deadline_cycles: job.deadline.or(policy.deadline_cycles),
+                ..policy
+            };
+            drv.collect_perf = collect_perf;
+            drv.submit(&job.pairs, job.backtrace, WaitMode::PollIdle)
         })
     }
 
@@ -578,7 +556,6 @@ impl BatchScheduler {
             dev: self.soc.lane_mut(lane),
             mem: &mut self.mem,
             layout: self.layouts[lane],
-            schedule: &self.schedule,
             policy: DriverPolicy {
                 deadline_cycles: job.deadline.or(self.policy.deadline_cycles),
                 ..self.policy

@@ -351,10 +351,9 @@ fn run_parallel_thread_width_never_changes_anything() {
 
 #[test]
 fn run_parallel_worker_driver_cache_survives_a_config_change() {
-    // `run_parallel` keeps one warm driver per worker thread; with
-    // `threads == 1` the cache lives on the calling thread and survives
-    // across schedulers. Interleaving two device shapes from the same
-    // thread must rebuild the cached driver, not run the wrong config.
+    // With `threads == 1`, `run_parallel` runs every job on the calling
+    // thread. Interleaving two device shapes from the same thread must run
+    // each job on its own scheduler's config, never a previous call's.
     let cfg_a = AccelConfig::wfasic_chip();
     let cfg_b = AccelConfig::wfasic_chip().with_aligners(2);
     assert_ne!(cfg_a, cfg_b);
