@@ -25,7 +25,7 @@
 //! bit-identity tests enforce.
 
 use crate::baseline::Metric;
-use crate::timing::{measure, measure_for};
+use crate::timing::measure_for;
 use std::path::{Path, PathBuf};
 use wfa_core::kernel::{self, KernelDispatch};
 use wfa_core::pool::available_threads;
@@ -42,8 +42,10 @@ pub const SCHEMA: &str = "wfasic-host/1";
 /// this fraction of its blessed baseline value (being faster never fails).
 pub const RATIO_FLOOR: f64 = 0.5;
 
-/// Least wall-clock sampled per device-path row (repeating the call).
-const E2E_MIN_MS: f64 = 200.0;
+/// Least wall-clock sampled per timed row (repeating the call), so a
+/// millisecond-scale row is judged on the median of many samples rather
+/// than on a few.
+const MIN_SAMPLE_MS: f64 = 200.0;
 
 /// The committed ratio baseline the `--check` gate compares against.
 pub fn default_baseline_path() -> PathBuf {
@@ -200,7 +202,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
         probes,
         opts.seed,
     );
-    let t_scalar = measure(iters, || {
+    let t_scalar = measure_for(iters, MIN_SAMPLE_MS, || {
         lcp_sweep(
             |i, j| kernel::lcp_bytes_scalar(&ka, &kb, i, j),
             kernel_len,
@@ -224,7 +226,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
         bases_scalar == bases_word && bases_word == bases_simd,
         "kernel tiers must agree on the measured workload"
     );
-    let t_word = measure(iters, || {
+    let t_word = measure_for(iters, MIN_SAMPLE_MS, || {
         lcp_sweep(
             |i, j| kernel::lcp_packed_word(&pa, &pb, i, j),
             kernel_len,
@@ -232,7 +234,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
             opts.seed,
         )
     });
-    let t_simd = measure(iters, || {
+    let t_simd = measure_for(iters, MIN_SAMPLE_MS, || {
         lcp_sweep(
             |i, j| kernel::lcp_packed_simd(&pa, &pb, i, j),
             kernel_len,
@@ -274,7 +276,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
         bases_peak_word, bases_peak_simd,
         "kernel tiers must agree on the peak workload"
     );
-    let t_peak_word = measure(iters, || {
+    let t_peak_word = measure_for(iters, MIN_SAMPLE_MS, || {
         lcp_sweep(
             |i, j| kernel::lcp_packed_word(&pa, &pa, i, j),
             kernel_len,
@@ -282,7 +284,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
             opts.seed ^ 0x9E,
         )
     });
-    let t_peak_simd = measure(iters, || {
+    let t_peak_simd = measure_for(iters, MIN_SAMPLE_MS, || {
         lcp_sweep(
             |i, j| kernel::lcp_packed_simd(&pa, &pa, i, j),
             kernel_len,
@@ -318,7 +320,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
     // Both variants route through the unified software answer path
     // ([`CpuWfaBackend::align_pair_in`]): fresh allocates a new arena per
     // pair; arena-reused threads one arena through the whole set.
-    let t_fresh = measure(iters, || {
+    let t_fresh = measure_for(iters, MIN_SAMPLE_MS, || {
         let mut acc = 0u64;
         for p in &oracle_pairs {
             let mut arena = WavefrontArena::new();
@@ -327,7 +329,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
         }
         acc
     });
-    let t_arena = measure(iters, || {
+    let t_arena = measure_for(iters, MIN_SAMPLE_MS, || {
         let mut cpu = CpuWfaBackend::new(Penalties::default());
         let mut acc = 0u64;
         for p in &oracle_pairs {
@@ -372,8 +374,8 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
     let e2e_iters = if opts.quick { 1 } else { 2 };
     let run_at = |width: usize| -> Throughput {
         // A quick-tier call takes a few ms: repeat it until at least
-        // E2E_MIN_MS are sampled and take the median.
-        let t = measure_for(e2e_iters, E2E_MIN_MS, || {
+        // MIN_SAMPLE_MS are sampled and take the median.
+        let t = measure_for(e2e_iters, MIN_SAMPLE_MS, || {
             let results = sched.run_parallel(&jobs, width);
             assert!(results.iter().all(|r| r.is_ok()), "device jobs must pass");
             results.len()

@@ -176,8 +176,7 @@ pub fn hw_extend_blocks(matches: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::lcp_packed;
-    use crate::wfa::extend_matches;
+    use crate::kernel::{lcp_bytes, lcp_packed};
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -212,7 +211,7 @@ mod tests {
             for j in 0..b.len() {
                 assert_eq!(
                     lcp_packed(&pa, &pb, i, j),
-                    extend_matches(a, b, i, j),
+                    lcp_bytes(a, b, i, j),
                     "i={i} j={j}"
                 );
             }

@@ -721,7 +721,12 @@ mod tests {
         let pa = PackedSeq::from_ascii(&a).unwrap();
         let pb = PackedSeq::from_ascii(&b).unwrap();
         let exact = wfa_align(&a, &b, &WfaOptions::exact(P)).unwrap();
-        let bi = crate::wfa::wfa_align_packed(&pa, &pb, &biwfa_opts()).unwrap();
+        let bi = wfa_align_seqs_ref(
+            SeqsRef::Packed(&pa, &pb),
+            &biwfa_opts(),
+            &mut WavefrontArena::new(),
+        )
+        .unwrap();
         assert_eq!(bi.score, exact.score);
         bi.cigar.unwrap().check(&a, &b).unwrap();
     }

@@ -11,9 +11,11 @@
 //! * **Word** — one `u64` per iteration: 8 ASCII bases ([`lcp_bytes_word`])
 //!   or 32 packed bases ([`lcp_packed_word`]) via XOR + `trailing_zeros`.
 //!   The portable fast path and the fallback on non-x86_64 hosts.
-//! * **Sse2 / Avx2** — `std::arch::x86_64` kernels comparing 16/32 ASCII
-//!   bases or 64/128 packed bases per iteration ([`lcp_bytes_simd`],
-//!   [`lcp_packed_simd`]), selected with `is_x86_feature_detected!`.
+//! * **Avx2** — `std::arch::x86_64` kernels comparing 128 packed bases per
+//!   iteration ([`lcp_packed_simd`]) and computing 8 Eq. 3 cells per
+//!   iteration ([`compute_row`]), selected with `is_x86_feature_detected!`.
+//!   The byte LCP stays on the word kernel at this tier: a 32-byte compare
+//!   measured no faster on the byte path's long-read (BiWFA) workloads.
 //!
 //! The active tier comes from [`kernel_dispatch`]: `Auto` (the default)
 //! picks the widest tier the CPU supports; the `WFASIC_KERNEL` environment
@@ -51,20 +53,22 @@ pub const BYTES_PER_WORD: usize = 8;
 /// `Auto` resolves to the widest tier the running CPU supports; the other
 /// variants pin a tier (falling back down the ladder when the CPU lacks
 /// the instruction set). Controlled per-process by the `WFASIC_KERNEL`
-/// environment variable (`auto`/`scalar`/`word`/`sse2`/`avx2`) or
+/// environment variable (`auto`/`scalar`/`word`/`avx2`) or
 /// programmatically via [`set_kernel_dispatch`].
+///
+/// The discriminants are fixed: tests seed per-tier cases with
+/// `tier as u64`, so renumbering a tier would silently re-seed its cases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum KernelDispatch {
     /// Pick the best available tier at runtime (the default).
-    Auto,
+    Auto = 0,
     /// One base per iteration (the property-test oracle).
-    Scalar,
+    Scalar = 1,
     /// One `u64` per iteration (portable fast path).
-    Word,
-    /// 128-bit `std::arch::x86_64` kernels.
-    Sse2,
+    Word = 2,
     /// 256-bit `std::arch::x86_64` kernels.
-    Avx2,
+    Avx2 = 4,
 }
 
 impl KernelDispatch {
@@ -74,7 +78,6 @@ impl KernelDispatch {
             "auto" => Some(KernelDispatch::Auto),
             "scalar" => Some(KernelDispatch::Scalar),
             "word" => Some(KernelDispatch::Word),
-            "sse2" => Some(KernelDispatch::Sse2),
             "avx2" => Some(KernelDispatch::Avx2),
             _ => None,
         }
@@ -86,7 +89,6 @@ impl KernelDispatch {
             KernelDispatch::Auto => "auto",
             KernelDispatch::Scalar => "scalar",
             KernelDispatch::Word => "word",
-            KernelDispatch::Sse2 => "sse2",
             KernelDispatch::Avx2 => "avx2",
         }
     }
@@ -96,16 +98,14 @@ impl KernelDispatch {
         match self {
             KernelDispatch::Auto | KernelDispatch::Scalar | KernelDispatch::Word => true,
             #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
             KernelDispatch::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            KernelDispatch::Sse2 | KernelDispatch::Avx2 => false,
+            KernelDispatch::Avx2 => false,
         }
     }
 
     /// Resolve to a concrete, available tier (never `Auto`): a requested
-    /// tier the CPU lacks falls back down the ladder (`Avx2 → Sse2 → Word`).
+    /// tier the CPU lacks falls back down the ladder (`Avx2 → Word → Scalar`).
     pub fn resolve(self) -> Self {
         let want = match self {
             KernelDispatch::Auto => KernelDispatch::Avx2,
@@ -113,7 +113,6 @@ impl KernelDispatch {
         };
         let ladder = [
             KernelDispatch::Avx2,
-            KernelDispatch::Sse2,
             KernelDispatch::Word,
             KernelDispatch::Scalar,
         ];
@@ -126,35 +125,27 @@ impl KernelDispatch {
         KernelDispatch::Scalar
     }
 
-    fn to_code(self) -> u8 {
-        match self {
-            KernelDispatch::Auto => 0,
-            KernelDispatch::Scalar => 1,
-            KernelDispatch::Word => 2,
-            KernelDispatch::Sse2 => 3,
-            KernelDispatch::Avx2 => 4,
-        }
-    }
-
     fn from_code(code: u8) -> Self {
         match code {
             1 => KernelDispatch::Scalar,
             2 => KernelDispatch::Word,
-            3 => KernelDispatch::Sse2,
             4 => KernelDispatch::Avx2,
             _ => KernelDispatch::Auto,
         }
     }
 }
 
-/// 0 = unresolved; otherwise a resolved `KernelDispatch::to_code` value.
+/// 0 = unresolved; otherwise a resolved `KernelDispatch` discriminant.
 static ACTIVE_TIER: AtomicU8 = AtomicU8::new(0);
 
 fn resolve_from_env() -> KernelDispatch {
-    let requested = std::env::var("WFASIC_KERNEL")
-        .ok()
-        .and_then(|s| KernelDispatch::parse(&s))
-        .unwrap_or(KernelDispatch::Auto);
+    let requested = match std::env::var("WFASIC_KERNEL") {
+        Ok(s) => KernelDispatch::parse(&s).unwrap_or_else(|| {
+            eprintln!("WFASIC_KERNEL={s:?} is not one of auto, scalar, word, avx2; using auto");
+            KernelDispatch::Auto
+        }),
+        Err(_) => KernelDispatch::Auto,
+    };
     requested.resolve()
 }
 
@@ -168,7 +159,7 @@ pub fn kernel_dispatch() -> KernelDispatch {
         return KernelDispatch::from_code(code);
     }
     let resolved = resolve_from_env();
-    ACTIVE_TIER.store(resolved.to_code(), Ordering::Relaxed);
+    ACTIVE_TIER.store(resolved as u8, Ordering::Relaxed);
     resolved
 }
 
@@ -176,7 +167,7 @@ pub fn kernel_dispatch() -> KernelDispatch {
 /// tiers down the ladder). Every tier computes identical values, so
 /// changing the tier mid-run is always safe — only throughput changes.
 pub fn set_kernel_dispatch(d: KernelDispatch) {
-    ACTIVE_TIER.store(d.resolve().to_code(), Ordering::Relaxed);
+    ACTIVE_TIER.store(d.resolve() as u8, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -184,15 +175,13 @@ pub fn set_kernel_dispatch(d: KernelDispatch) {
 // ---------------------------------------------------------------------------
 
 /// Count matching bases of `a[i..]` vs `b[j..]` through the active
-/// dispatch tier. The hot entry point used by the software WFA oracle
-/// ([`crate::wfa::wfa_align`]), which must accept arbitrary bytes
-/// (including non-ACGT) and therefore cannot pack.
+/// dispatch tier: the scalar oracle when `Scalar` is pinned, the word
+/// kernel otherwise. The byte path serves sequences that cannot pack
+/// (non-ACGT bytes reach the software WFA oracle, [`crate::wfa::wfa_align`]).
 #[inline]
 pub fn lcp_bytes(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
     match kernel_dispatch() {
         KernelDispatch::Scalar => lcp_bytes_scalar(a, b, i, j),
-        #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 | KernelDispatch::Avx2 => lcp_bytes_simd(a, b, i, j),
         _ => lcp_bytes_word(a, b, i, j),
     }
 }
@@ -238,63 +227,6 @@ pub fn lcp_bytes_word(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
     k
 }
 
-/// SIMD byte LCP at the widest tier the CPU supports (AVX2: 32 bytes per
-/// compare; SSE2: 16). Callers normally go through [`lcp_bytes`]; this
-/// entry pins the SIMD path regardless of the dispatch override.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-pub fn lcp_bytes_simd(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: feature checked above.
-        unsafe { lcp_bytes_avx2(a, b, i, j) }
-    } else if is_x86_feature_detected!("sse2") {
-        // SAFETY: feature checked above.
-        unsafe { lcp_bytes_sse2(a, b, i, j) }
-    } else {
-        lcp_bytes_word(a, b, i, j)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn lcp_bytes_avx2(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
-    use std::arch::x86_64::*;
-    let (sa, sb) = (&a[i..], &b[j..]);
-    let limit = sa.len().min(sb.len());
-    let mut k = 0;
-    while k + 32 <= limit {
-        let va = _mm256_loadu_si256(sa.as_ptr().add(k) as *const __m256i);
-        let vb = _mm256_loadu_si256(sb.as_ptr().add(k) as *const __m256i);
-        let eq = _mm256_cmpeq_epi8(va, vb);
-        let mask = _mm256_movemask_epi8(eq) as u32;
-        if mask != u32::MAX {
-            return k + (!mask).trailing_zeros() as usize;
-        }
-        k += 32;
-    }
-    k + lcp_bytes_word(a, b, i + k, j + k)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn lcp_bytes_sse2(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
-    use std::arch::x86_64::*;
-    let (sa, sb) = (&a[i..], &b[j..]);
-    let limit = sa.len().min(sb.len());
-    let mut k = 0;
-    while k + 16 <= limit {
-        let va = _mm_loadu_si128(sa.as_ptr().add(k) as *const __m128i);
-        let vb = _mm_loadu_si128(sb.as_ptr().add(k) as *const __m128i);
-        let eq = _mm_cmpeq_epi8(va, vb);
-        let mask = _mm_movemask_epi8(eq) as u32;
-        if mask != 0xFFFF {
-            return k + (!mask & 0xFFFF).trailing_zeros() as usize;
-        }
-        k += 16;
-    }
-    k + lcp_bytes_word(a, b, i + k, j + k)
-}
-
 // ---------------------------------------------------------------------------
 // LCP over 2-bit packed sequences
 // ---------------------------------------------------------------------------
@@ -322,7 +254,7 @@ pub fn lcp_packed(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
     match kernel_dispatch() {
         KernelDispatch::Scalar => lcp_packed_scalar(a, b, i, j),
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 | KernelDispatch::Avx2 => lcp_packed_simd(a, b, i, j),
+        KernelDispatch::Avx2 => lcp_packed_simd(a, b, i, j),
         _ => lcp_packed_word(a, b, i, j),
     }
 }
@@ -365,8 +297,8 @@ pub fn lcp_packed_word(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usiz
     matched.min(limit)
 }
 
-/// SIMD packed LCP at the widest tier the CPU supports (AVX2: 128 bases
-/// per compare; SSE2: 64). Callers normally go through [`lcp_packed`].
+/// AVX2 packed LCP, 128 bases per compare, or the word kernel on a CPU
+/// without AVX2. Callers normally go through [`lcp_packed`].
 ///
 /// Both packed streams are bit-aligned in registers with a per-lane
 /// `srl/sll` pair — the vector form of the word path's cross-word window
@@ -378,9 +310,6 @@ pub fn lcp_packed_simd(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usiz
     if is_x86_feature_detected!("avx2") {
         // SAFETY: feature checked above.
         unsafe { lcp_packed_avx2(a, b, i, j) }
-    } else if is_x86_feature_detected!("sse2") {
-        // SAFETY: feature checked above.
-        unsafe { lcp_packed_sse2(a, b, i, j) }
     } else {
         lcp_packed_word(a, b, i, j)
     }
@@ -424,49 +353,6 @@ unsafe fn lcp_packed_avx2(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> u
         matched += 128;
         abyte += 32;
         bbyte += 32;
-    }
-    if matched >= limit {
-        return limit;
-    }
-    (matched + lcp_packed_word(a, b, i + matched, j + matched)).min(limit)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn lcp_packed_sse2(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
-    use std::arch::x86_64::*;
-    let limit = (a.len() - i).min(b.len() - j);
-    let ab = a.as_raw_bytes();
-    let bb = b.as_raw_bytes();
-    let sa = _mm_cvtsi32_si128(2 * (i % 4) as i32);
-    let sb_sh = _mm_cvtsi32_si128(2 * (j % 4) as i32);
-    let ca = _mm_cvtsi32_si128(8 - 2 * (i % 4) as i32);
-    let cb = _mm_cvtsi32_si128(8 - 2 * (j % 4) as i32);
-    let mut abyte = i / 4;
-    let mut bbyte = j / 4;
-    let mut matched = 0usize;
-    let zero = _mm_setzero_si128();
-    while matched < limit && abyte + 17 <= ab.len() && bbyte + 17 <= bb.len() {
-        let a0 = _mm_loadu_si128(ab.as_ptr().add(abyte) as *const __m128i);
-        let a1 = _mm_loadu_si128(ab.as_ptr().add(abyte + 1) as *const __m128i);
-        let va = _mm_or_si128(_mm_srl_epi64(a0, sa), _mm_sll_epi64(a1, ca));
-        let b0 = _mm_loadu_si128(bb.as_ptr().add(bbyte) as *const __m128i);
-        let b1 = _mm_loadu_si128(bb.as_ptr().add(bbyte + 1) as *const __m128i);
-        let vb = _mm_or_si128(_mm_srl_epi64(b0, sb_sh), _mm_sll_epi64(b1, cb));
-        let diff = _mm_xor_si128(va, vb);
-        if _mm_movemask_epi8(_mm_cmpeq_epi8(diff, zero)) != 0xFFFF {
-            let mut lanes = [0u64; 2];
-            _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, diff);
-            for (lane, &d) in lanes.iter().enumerate() {
-                if d != 0 {
-                    matched += lane * 32 + (d.trailing_zeros() / 2) as usize;
-                    return matched.min(limit);
-                }
-            }
-        }
-        matched += 64;
-        abyte += 16;
-        bbyte += 16;
     }
     if matched >= limit {
         return limit;
@@ -639,11 +525,6 @@ pub fn compute_row(
             // reports the feature.
             unsafe { compute_row_avx2(sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m) }
         }
-        #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 => {
-            // SAFETY: as above for Sse2.
-            unsafe { compute_row_sse2(sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m) }
-        }
         _ => compute_row_scalar(sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m),
     }
 }
@@ -715,15 +596,6 @@ pub fn compute_row_with_origins(
             // reports the feature.
             unsafe {
                 compute_row_with_origins_avx2(
-                    sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m, out_code,
-                )
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 => {
-            // SAFETY: as above for Sse2.
-            unsafe {
-                compute_row_with_origins_sse2(
                     sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m, out_code,
                 )
             }
@@ -888,77 +760,6 @@ unsafe fn compute_row_avx2(
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn compute_row_sse2(
-    sub: &[i32],
-    open: &[i32],
-    iext: &[i32],
-    dext: &[i32],
-    k_lo: i32,
-    n: i32,
-    m: i32,
-    out_i: &mut [i32],
-    out_d: &mut [i32],
-    out_m: &mut [i32],
-) {
-    use std::arch::x86_64::*;
-    // SSE2 lacks `pmaxsd`/`pblendvb`; both are two-instruction emulations
-    // over the compare mask.
-    let blend = |mask: __m128i, yes: __m128i, no: __m128i| {
-        _mm_or_si128(_mm_and_si128(mask, yes), _mm_andnot_si128(mask, no))
-    };
-    let len = out_i.len();
-    let null = _mm_set1_epi32(OFFSET_NULL);
-    let ones = _mm_set1_epi32(1);
-    let neg1 = _mm_set1_epi32(-1);
-    let m_lim = _mm_set1_epi32(m + 1);
-    let n_lim = _mm_set1_epi32(n + 1);
-    let iota = _mm_setr_epi32(0, 1, 2, 3);
-    let max32 = |a: __m128i, b: __m128i| blend(_mm_cmpgt_epi32(a, b), a, b);
-    let mut t = 0usize;
-    while t + 4 <= len {
-        let kv = _mm_add_epi32(_mm_set1_epi32(k_lo + t as i32), iota);
-        let validate = |v: __m128i| {
-            let iv = _mm_sub_epi32(v, kv);
-            let ok = _mm_and_si128(
-                _mm_and_si128(_mm_cmpgt_epi32(v, neg1), _mm_cmpgt_epi32(m_lim, v)),
-                _mm_and_si128(_mm_cmpgt_epi32(iv, neg1), _mm_cmpgt_epi32(n_lim, iv)),
-            );
-            blend(ok, v, null)
-        };
-        let ld =
-            |row: &[i32], off: usize| _mm_loadu_si128(row.as_ptr().add(t + off) as *const __m128i);
-        let i_open = validate(_mm_add_epi32(ld(open, 0), ones));
-        let i_ext = validate(_mm_add_epi32(ld(iext, 0), ones));
-        let ivv = max32(i_open, i_ext);
-        let d_open = validate(ld(open, 2));
-        let d_ext = validate(ld(dext, 2));
-        let dvv = max32(d_open, d_ext);
-        let sub_v = validate(_mm_add_epi32(ld(sub, 1), ones));
-        let mvv = max32(max32(sub_v, ivv), dvv);
-        _mm_storeu_si128(out_i.as_mut_ptr().add(t) as *mut __m128i, ivv);
-        _mm_storeu_si128(out_d.as_mut_ptr().add(t) as *mut __m128i, dvv);
-        _mm_storeu_si128(out_m.as_mut_ptr().add(t) as *mut __m128i, mvv);
-        t += 4;
-    }
-    if t < len {
-        compute_row_scalar(
-            &sub[t..],
-            &open[t..],
-            &iext[t..],
-            &dext[t..],
-            k_lo + t as i32,
-            n,
-            m,
-            &mut out_i[t..],
-            &mut out_d[t..],
-            &mut out_m[t..],
-        );
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn compute_row_with_origins_avx2(
@@ -1052,101 +853,6 @@ unsafe fn compute_row_with_origins_avx2(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn compute_row_with_origins_sse2(
-    sub: &[i32],
-    open: &[i32],
-    iext: &[i32],
-    dext: &[i32],
-    k_lo: i32,
-    n: i32,
-    m: i32,
-    out_i: &mut [i32],
-    out_d: &mut [i32],
-    out_m: &mut [i32],
-    out_code: &mut [u8],
-) {
-    use std::arch::x86_64::*;
-    let blend = |mask: __m128i, yes: __m128i, no: __m128i| {
-        _mm_or_si128(_mm_and_si128(mask, yes), _mm_andnot_si128(mask, no))
-    };
-    let len = out_i.len();
-    let null = _mm_set1_epi32(OFFSET_NULL);
-    let ones = _mm_set1_epi32(1);
-    let neg1 = _mm_set1_epi32(-1);
-    let m_lim = _mm_set1_epi32(m + 1);
-    let n_lim = _mm_set1_epi32(n + 1);
-    let iota = _mm_setr_epi32(0, 1, 2, 3);
-    let two = _mm_set1_epi32(2);
-    let four = _mm_set1_epi32(4);
-    let bit3 = _mm_set1_epi32(8);
-    let bit4 = _mm_set1_epi32(16);
-    let max32 = |a: __m128i, b: __m128i| blend(_mm_cmpgt_epi32(a, b), a, b);
-    let mut t = 0usize;
-    while t + 4 <= len {
-        let kv = _mm_add_epi32(_mm_set1_epi32(k_lo + t as i32), iota);
-        let validate = |v: __m128i| {
-            let iv = _mm_sub_epi32(v, kv);
-            let ok = _mm_and_si128(
-                _mm_and_si128(_mm_cmpgt_epi32(v, neg1), _mm_cmpgt_epi32(m_lim, v)),
-                _mm_and_si128(_mm_cmpgt_epi32(iv, neg1), _mm_cmpgt_epi32(n_lim, iv)),
-            );
-            blend(ok, v, null)
-        };
-        let ld =
-            |row: &[i32], off: usize| _mm_loadu_si128(row.as_ptr().add(t + off) as *const __m128i);
-        let i_open = validate(_mm_add_epi32(ld(open, 0), ones));
-        let i_ext = validate(_mm_add_epi32(ld(iext, 0), ones));
-        let ivv = max32(i_open, i_ext);
-        let d_open = validate(ld(open, 2));
-        let d_ext = validate(ld(dext, 2));
-        let dvv = max32(d_open, d_ext);
-        let sub_v = validate(_mm_add_epi32(ld(sub, 1), ones));
-        let mvv = max32(max32(sub_v, ivv), dvv);
-        _mm_storeu_si128(out_i.as_mut_ptr().add(t) as *mut __m128i, ivv);
-        _mm_storeu_si128(out_d.as_mut_ptr().add(t) as *mut __m128i, dvv);
-        _mm_storeu_si128(out_m.as_mut_ptr().add(t) as *mut __m128i, mvv);
-
-        let i_valid = _mm_cmpgt_epi32(ivv, neg1);
-        let d_valid = _mm_cmpgt_epi32(dvv, neg1);
-        let m_valid = _mm_cmpgt_epi32(mvv, neg1);
-        let i_ext_m = _mm_and_si128(_mm_cmpeq_epi32(i_ext, ivv), i_valid);
-        let d_ext_m = _mm_and_si128(_mm_cmpeq_epi32(d_ext, dvv), d_valid);
-        let sub_sel = _mm_and_si128(_mm_cmpeq_epi32(sub_v, mvv), m_valid);
-        let i_sel = _mm_and_si128(_mm_cmpeq_epi32(ivv, mvv), m_valid);
-        let d_code = _mm_sub_epi32(four, d_ext_m);
-        let i_code = _mm_sub_epi32(two, i_ext_m);
-        let mut code = _mm_and_si128(d_code, m_valid);
-        code = blend(i_sel, i_code, code);
-        code = blend(sub_sel, ones, code);
-        code = _mm_or_si128(code, _mm_and_si128(bit3, i_ext_m));
-        code = _mm_or_si128(code, _mm_and_si128(bit4, d_ext_m));
-        let mut lanes = [0i32; 4];
-        _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, code);
-        for (l, &c) in lanes.iter().enumerate() {
-            out_code[t + l] = c as u8;
-        }
-        t += 4;
-    }
-    if t < len {
-        compute_row_with_origins_scalar(
-            &sub[t..],
-            &open[t..],
-            &iext[t..],
-            &dext[t..],
-            k_lo + t as i32,
-            n,
-            m,
-            &mut out_i[t..],
-            &mut out_d[t..],
-            &mut out_m[t..],
-            &mut out_code[t..],
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1174,12 +880,9 @@ mod tests {
     type ByteLcpFn = fn(&[u8], &[u8], usize, usize) -> usize;
     type PackedLcpFn = fn(&PackedSeq, &PackedSeq, usize, usize) -> usize;
 
-    /// Every compiled byte-LCP tier, by name.
+    /// Every byte-LCP tier besides the scalar oracle, by name.
     fn byte_tiers() -> Vec<(&'static str, ByteLcpFn)> {
-        let mut tiers: Vec<(&'static str, ByteLcpFn)> = vec![("word", lcp_bytes_word)];
-        #[cfg(target_arch = "x86_64")]
-        tiers.push(("simd", lcp_bytes_simd));
-        tiers
+        vec![("word", lcp_bytes_word)]
     }
 
     /// Every compiled packed-LCP tier, by name.
@@ -1196,7 +899,6 @@ mod tests {
             KernelDispatch::Auto,
             KernelDispatch::Scalar,
             KernelDispatch::Word,
-            KernelDispatch::Sse2,
             KernelDispatch::Avx2,
         ] {
             assert_eq!(KernelDispatch::parse(d.name()), Some(d));
@@ -1206,6 +908,22 @@ mod tests {
         }
         assert_eq!(KernelDispatch::parse("AVX2"), Some(KernelDispatch::Avx2));
         assert_eq!(KernelDispatch::parse("mmx"), None);
+        assert_eq!(KernelDispatch::parse("sse2"), None);
+        for name in ["scalar", "word", "avx2", "auto"] {
+            assert_eq!(
+                KernelDispatch::parse(name).map(KernelDispatch::name),
+                Some(name)
+            );
+        }
+        // Per-tier test seeds use the discriminant; it must not move.
+        assert_eq!(KernelDispatch::Avx2 as u8, 4);
+        for d in [
+            KernelDispatch::Scalar,
+            KernelDispatch::Word,
+            KernelDispatch::Avx2,
+        ] {
+            assert_eq!(KernelDispatch::from_code(d as u8), d);
+        }
         // Scalar and Word pins always hold exactly.
         assert_eq!(KernelDispatch::Scalar.resolve(), KernelDispatch::Scalar);
         assert_eq!(KernelDispatch::Word.resolve(), KernelDispatch::Word);
@@ -1426,7 +1144,6 @@ mod tests {
         for d in [
             KernelDispatch::Scalar,
             KernelDispatch::Word,
-            KernelDispatch::Sse2,
             KernelDispatch::Avx2,
             KernelDispatch::Auto,
         ] {
@@ -1515,19 +1232,6 @@ mod tests {
                     );
                     assert_eq!(got, want, "avx2: len={len} k_lo={k_lo} n={n} m={m}");
                 }
-                if KernelDispatch::Sse2.available() {
-                    let got = run_row(
-                        &|s, o, ie, de, k, n, m, oi, od, om| unsafe {
-                            compute_row_sse2(s, o, ie, de, k, n, m, oi, od, om)
-                        },
-                        &rows,
-                        k_lo,
-                        n,
-                        m,
-                        len,
-                    );
-                    assert_eq!(got, want, "sse2: len={len} k_lo={k_lo} n={n} m={m}");
-                }
             }
         });
     }
@@ -1597,19 +1301,6 @@ mod tests {
                         len,
                     );
                     assert_eq!(got, want, "avx2: len={len} k_lo={k_lo} n={n} m={m}");
-                }
-                if KernelDispatch::Sse2.available() {
-                    let got = run(
-                        &|s, o, ie, de, k, n, m, oi, od, om, oc| unsafe {
-                            compute_row_with_origins_sse2(s, o, ie, de, k, n, m, oi, od, om, oc)
-                        },
-                        &rows,
-                        k_lo,
-                        n,
-                        m,
-                        len,
-                    );
-                    assert_eq!(got, want, "sse2: len={len} k_lo={k_lo} n={n} m={m}");
                 }
             }
         });

@@ -57,7 +57,6 @@ pub use seq::Seq;
 pub use swg::{gap_linear_score, swg_align, swg_score, DpAlignment};
 pub use wavefront::{Wavefront, WavefrontSet, OFFSET_NULL};
 pub use wfa::{
-    align, wfa_align, wfa_align_packed, wfa_align_packed_with_arena, wfa_align_seqs,
-    wfa_align_seqs_ref, wfa_align_seqs_with_arena, wfa_align_with_arena, AlignStrategy, SeqsRef,
-    WfaAlignment, WfaError, WfaOptions, WfaStats,
+    align, wfa_align, wfa_align_seqs, wfa_align_seqs_ref, wfa_align_seqs_with_arena, AlignStrategy,
+    SeqsRef, WfaAlignment, WfaError, WfaOptions, WfaStats,
 };

@@ -323,16 +323,6 @@ pub fn compute_cell_m(m_sub: i32, i_cur: i32, d_cur: i32, k: i32, n: i32, m: i32
     sub.max(i_cur).max(d_cur)
 }
 
-/// Count matching bases of `a[i..]` vs `b[j..]` (the `extend()` primitive).
-///
-/// Word-parallel (8 bases per `u64`) via the shared
-/// [`crate::kernel::lcp_bytes`]; [`crate::kernel::lcp_bytes_scalar`] is the
-/// property-tested scalar reference.
-#[inline]
-pub fn extend_matches(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
-    kernel::lcp_bytes(a, b, i, j)
-}
-
 /// A borrowed pair of input sequences in either representation. The WFA
 /// core is representation-agnostic: the only sequence-dependent operation
 /// it performs is the `extend()` LCP, which dispatches here to the byte or
@@ -347,6 +337,17 @@ pub enum SeqsRef<'s> {
 }
 
 impl SeqsRef<'_> {
+    /// Borrow a [`Seq`] pair and run `f` on it: packed when both sides are
+    /// packed (the hot path), bytes otherwise. A raw side (broken data,
+    /// non-ACGT alphabets) forces the byte kernels, so a packed partner is
+    /// unpacked here and nowhere else.
+    pub fn with_seqs<R>(a: &Seq, b: &Seq, f: impl FnOnce(SeqsRef<'_>) -> R) -> R {
+        match (a, b) {
+            (Seq::Packed(pa), Seq::Packed(pb)) => f(SeqsRef::Packed(pa, pb)),
+            _ => f(SeqsRef::Bytes(&a.bytes(), &b.bytes())),
+        }
+    }
+
     /// Length of the first (vertical, `i`-indexed) sequence.
     #[inline]
     pub fn a_len(&self) -> usize {
@@ -374,6 +375,15 @@ impl SeqsRef<'_> {
             SeqsRef::Packed(a, b) => kernel::lcp_packed(a, b, i, j),
         }
     }
+
+    /// Whether base `a[i]` equals base `b[j]`. Both must be in bounds.
+    #[inline]
+    pub fn same_base(&self, i: usize, j: usize) -> bool {
+        match self {
+            SeqsRef::Bytes(a, b) => a[i] == b[j],
+            SeqsRef::Packed(a, b) => a.get(i) == b.get(j),
+        }
+    }
 }
 
 /// Fill `row` with `w.get(k)` for `k in lo..=hi`: NULL everywhere, then one
@@ -397,50 +407,13 @@ fn fill_source_row(row: &mut Vec<i32>, lo: i32, hi: i32, w: Option<&crate::wavef
 /// Align `a` against `b` end-to-end with the exact WFA.
 ///
 /// Allocates a private [`WavefrontArena`] per call; sweeps aligning many
-/// pairs should reuse one arena via [`wfa_align_with_arena`].
+/// pairs should reuse one arena via [`wfa_align_seqs_ref`].
 pub fn wfa_align(a: &[u8], b: &[u8], opts: &WfaOptions) -> Result<WfaAlignment, WfaError> {
-    wfa_align_with_arena(a, b, opts, &mut WavefrontArena::new())
+    wfa_align_seqs_ref(SeqsRef::Bytes(a, b), opts, &mut WavefrontArena::new())
 }
 
-/// [`wfa_align`] with caller-provided scratch: wavefront buffers come from
-/// (and return to) `arena`, so aligning a stream of pairs stops hitting the
-/// allocator after the first few. Results, statistics and simulated-cycle
-/// inputs are bit-identical to [`wfa_align`].
-pub fn wfa_align_with_arena(
-    a: &[u8],
-    b: &[u8],
-    opts: &WfaOptions,
-    arena: &mut WavefrontArena,
-) -> Result<WfaAlignment, WfaError> {
-    wfa_align_seqs_ref(SeqsRef::Bytes(a, b), opts, arena)
-}
-
-/// [`wfa_align`] over 2-bit packed sequences — the hot path for clean ACGT
-/// reads. Bit-identical results to the byte path on the same content (the
-/// per-tier equivalence suite enforces it); the packed LCP kernel compares
-/// 4 bases per byte, so `extend()` runs proportionally wider.
-pub fn wfa_align_packed(
-    a: &PackedSeq,
-    b: &PackedSeq,
-    opts: &WfaOptions,
-) -> Result<WfaAlignment, WfaError> {
-    wfa_align_packed_with_arena(a, b, opts, &mut WavefrontArena::new())
-}
-
-/// [`wfa_align_packed`] with caller-provided scratch.
-pub fn wfa_align_packed_with_arena(
-    a: &PackedSeq,
-    b: &PackedSeq,
-    opts: &WfaOptions,
-    arena: &mut WavefrontArena,
-) -> Result<WfaAlignment, WfaError> {
-    wfa_align_seqs_ref(SeqsRef::Packed(a, b), opts, arena)
-}
-
-/// Align a [`Seq`] pair, picking the representation-appropriate kernel:
-/// packed×packed stays on the packed hot path; any raw side (broken data,
-/// non-ACGT alphabets) routes through the byte oracle, unpacking a packed
-/// partner at this boundary only.
+/// Align a [`Seq`] pair, picking the representation-appropriate kernel
+/// through [`SeqsRef::with_seqs`].
 pub fn wfa_align_seqs(a: &Seq, b: &Seq, opts: &WfaOptions) -> Result<WfaAlignment, WfaError> {
     wfa_align_seqs_with_arena(a, b, opts, &mut WavefrontArena::new())
 }
@@ -452,19 +425,13 @@ pub fn wfa_align_seqs_with_arena(
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
 ) -> Result<WfaAlignment, WfaError> {
-    match (a, b) {
-        (Seq::Packed(pa), Seq::Packed(pb)) => {
-            wfa_align_seqs_ref(SeqsRef::Packed(pa, pb), opts, arena)
-        }
-        _ => {
-            let ab = a.bytes();
-            let bb = b.bytes();
-            wfa_align_seqs_ref(SeqsRef::Bytes(&ab, &bb), opts, arena)
-        }
-    }
+    SeqsRef::with_seqs(a, b, |seqs| wfa_align_seqs_ref(seqs, opts, arena))
 }
 
-/// The lowest-level entry: align an already-borrowed [`SeqsRef`].
+/// The lowest-level entry: align an already-borrowed [`SeqsRef`] with
+/// caller-provided scratch: wavefront buffers come from (and return to)
+/// `arena`, so aligning a stream of pairs stops hitting the allocator after
+/// the first few. Results and statistics are bit-identical to a fresh arena.
 pub fn wfa_align_seqs_ref(
     seqs: SeqsRef<'_>,
     opts: &WfaOptions,

@@ -5,10 +5,10 @@
 //! offline, so `proptest` is not available.
 
 use wfa_core::bitpack::PackedSeq;
-use wfa_core::kernel::lcp_packed;
+use wfa_core::kernel::{lcp_bytes, lcp_packed};
 use wfa_core::prop::cases;
 use wfa_core::rng::SmallRng;
-use wfa_core::wfa::{extend_matches, wfa_align, WfaOptions};
+use wfa_core::wfa::{wfa_align, WfaOptions};
 use wfa_core::{align, swg_align, swg_score, Penalties};
 
 const CASES: usize = 200;
@@ -107,7 +107,7 @@ fn packed_extend_equals_naive() {
         let j = rng.gen_range(0, b.len() + 1);
         let pa = PackedSeq::from_ascii(&a).unwrap();
         let pb = PackedSeq::from_ascii(&b).unwrap();
-        assert_eq!(lcp_packed(&pa, &pb, i, j), extend_matches(&a, &b, i, j));
+        assert_eq!(lcp_packed(&pa, &pb, i, j), lcp_bytes(&a, &b, i, j));
     });
 }
 
@@ -146,7 +146,7 @@ fn score_bounded_by_all_gaps() {
 }
 
 /// The whole exactness sweep holds at every kernel dispatch tier: forcing
-/// scalar, word, SSE2 or AVX2 through the same alignments must not change
+/// scalar, word or AVX2 through the same alignments must not change
 /// a score, a CIGAR, or an extend count. Tiers the host CPU lacks are
 /// skipped (the CI matrix still forces each one where available).
 #[test]
@@ -157,7 +157,6 @@ fn wfa_exactness_holds_at_every_dispatch_tier() {
     for tier in [
         KernelDispatch::Scalar,
         KernelDispatch::Word,
-        KernelDispatch::Sse2,
         KernelDispatch::Avx2,
     ] {
         if !tier.available() {
@@ -180,7 +179,7 @@ fn wfa_exactness_holds_at_every_dispatch_tier() {
             let pb = PackedSeq::from_ascii(&b).unwrap();
             let i = rng.gen_range(0, a.len() + 1);
             let j = rng.gen_range(0, b.len() + 1);
-            assert_eq!(lcp_packed(&pa, &pb, i, j), extend_matches(&a, &b, i, j));
+            assert_eq!(lcp_packed(&pa, &pb, i, j), lcp_bytes(&a, &b, i, j));
             let is: Vec<i32> = (0..5)
                 .map(|_| rng.gen_range(0, a.len() + 1) as i32)
                 .collect();
@@ -192,7 +191,7 @@ fn wfa_exactness_holds_at_every_dispatch_tier() {
             for t in 0..5 {
                 assert_eq!(
                     out[t] as usize,
-                    extend_matches(&a, &b, is[t] as usize, js[t] as usize),
+                    lcp_bytes(&a, &b, is[t] as usize, js[t] as usize),
                     "tier {tier:?} lane {t}"
                 );
             }
@@ -212,7 +211,6 @@ fn biwfa_matches_exact_at_every_dispatch_tier() {
     for tier in [
         KernelDispatch::Scalar,
         KernelDispatch::Word,
-        KernelDispatch::Sse2,
         KernelDispatch::Avx2,
     ] {
         if !tier.available() {
@@ -304,10 +302,10 @@ fn adaptive_band_is_an_upper_bound_and_exact_at_low_error() {
 }
 
 #[test]
-fn extend_matches_edge_positions() {
+fn lcp_bytes_edge_positions() {
     let a = b"ACGT";
     let b = b"ACGT";
-    assert_eq!(extend_matches(a, b, 4, 4), 0);
-    assert_eq!(extend_matches(a, b, 0, 4), 0);
-    assert_eq!(extend_matches(a, b, 0, 0), 4);
+    assert_eq!(lcp_bytes(a, b, 4, 4), 0);
+    assert_eq!(lcp_bytes(a, b, 0, 4), 0);
+    assert_eq!(lcp_bytes(a, b, 0, 0), 4);
 }

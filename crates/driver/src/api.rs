@@ -30,7 +30,7 @@ use crate::backtrace::{
 use crate::cpu_model::BacktraceCosts;
 use crate::faults::{FaultClass, FaultLayer, Provenance};
 use wfa_core::cigar::Cigar;
-use wfa_core::Penalties;
+use wfa_core::{Penalties, SeqsRef};
 use wfasic_accel::device::{RunReport, WfasicDevice};
 use wfasic_accel::regs::{offsets, DeviceError};
 use wfasic_accel::AccelConfig;
@@ -639,17 +639,9 @@ impl Stage<'_> {
                 results.push(AlignmentResult::failed(pair.id));
                 continue;
             }
-            // Packed pairs replay packed; only raw (non-ACGT) sequences take
-            // the byte path, so the hot path never decodes to ASCII.
-            let cigar = match (pair.a.as_packed(), pair.b.as_packed()) {
-                (Some(pa), Some(pb)) => {
-                    crate::backtrace::backtrace_alignment_packed(schedule, bt, pa, pb, &p, ps)?
-                }
-                _ => {
-                    let (ba, bb) = (pair.a.bytes(), pair.b.bytes());
-                    backtrace_alignment(schedule, bt, &ba, &bb, &p, ps)?
-                }
-            };
+            let cigar = SeqsRef::with_seqs(&pair.a, &pair.b, |seqs| {
+                backtrace_alignment(schedule, bt, seqs, &p, ps)
+            })?;
             cycles += bt_costs.cycles(
                 (bt.txns * 16) as u64,
                 cigar.stats().edits(),

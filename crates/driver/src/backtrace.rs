@@ -18,7 +18,7 @@
 //!    maximally-extended) M cell.
 
 use wfa_core::cigar::{Cigar, Op};
-use wfa_core::Penalties;
+use wfa_core::{PackedSeq, Penalties, SeqsRef};
 use wfasic_accel::schedule::WavefrontSchedule;
 use wfasic_seqio::memimage::{
     unpack_bt_cell, BtScoreRecord, BtTxn, MOrigin, BT_PAYLOAD_BYTES, SECTION,
@@ -317,21 +317,22 @@ pub fn walk_origins(
 
 /// Insert matches: replay the edits forward over the sequences
 /// (paper §4.5: "the CPU traverses the two sequences and inserts all the
-/// necessary matches between the differences").
-pub fn insert_matches(a: &[u8], b: &[u8], edits: &[Edit]) -> Result<Cigar, BtError> {
+/// necessary matches between the differences"). A packed pair replays
+/// without decoding to ASCII.
+pub fn insert_matches(seqs: SeqsRef<'_>, edits: &[Edit]) -> Result<Cigar, BtError> {
+    let (n, m) = (seqs.a_len(), seqs.b_len());
     let mut cigar = Cigar::new();
     let (mut i, mut j) = (0usize, 0usize);
-    let extend = |i: usize, j: usize| wfa_core::wfa::extend_matches(a, b, i, j);
     for edit in edits {
         if edit.extend_before {
-            let m = extend(i, j);
-            cigar.push_run(Op::Match, m as u32);
-            i += m;
-            j += m;
+            let run = seqs.lcp(i, j);
+            cigar.push_run(Op::Match, run as u32);
+            i += run;
+            j += run;
         }
         match edit.op {
             Op::Mismatch => {
-                if i >= a.len() || j >= b.len() || a[i] == b[j] {
+                if i >= n || j >= m || seqs.same_base(i, j) {
                     return Err(BtError::ReconstructionMismatch);
                 }
                 cigar.push(Op::Mismatch);
@@ -339,14 +340,14 @@ pub fn insert_matches(a: &[u8], b: &[u8], edits: &[Edit]) -> Result<Cigar, BtErr
                 j += 1;
             }
             Op::Ins => {
-                if j >= b.len() {
+                if j >= m {
                     return Err(BtError::ReconstructionMismatch);
                 }
                 cigar.push(Op::Ins);
                 j += 1;
             }
             Op::Del => {
-                if i >= a.len() {
+                if i >= n {
                     return Err(BtError::ReconstructionMismatch);
                 }
                 cigar.push(Op::Del);
@@ -356,102 +357,44 @@ pub fn insert_matches(a: &[u8], b: &[u8], edits: &[Edit]) -> Result<Cigar, BtErr
         }
     }
     // Trailing matches to the ends.
-    let m = extend(i, j);
-    cigar.push_run(Op::Match, m as u32);
-    i += m;
-    j += m;
-    if i != a.len() || j != b.len() {
+    let run = seqs.lcp(i, j);
+    cigar.push_run(Op::Match, run as u32);
+    i += run;
+    j += run;
+    if i != n || j != m {
         return Err(BtError::ReconstructionMismatch);
     }
     Ok(cigar)
-}
-
-/// [`insert_matches`] over 2-bit packed sequences: the same replay without
-/// decoding to ASCII first (the packed-vs-byte LCP equivalence is pinned by
-/// `wfa_core`'s kernel property tests).
-pub fn insert_matches_packed(
-    a: &wfa_core::bitpack::PackedSeq,
-    b: &wfa_core::bitpack::PackedSeq,
-    edits: &[Edit],
-) -> Result<Cigar, BtError> {
-    let mut cigar = Cigar::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    let extend = |i: usize, j: usize| wfa_core::kernel::lcp_packed(a, b, i, j);
-    for edit in edits {
-        if edit.extend_before {
-            let m = extend(i, j);
-            cigar.push_run(Op::Match, m as u32);
-            i += m;
-            j += m;
-        }
-        match edit.op {
-            Op::Mismatch => {
-                if i >= a.len() || j >= b.len() || a.get(i) == b.get(j) {
-                    return Err(BtError::ReconstructionMismatch);
-                }
-                cigar.push(Op::Mismatch);
-                i += 1;
-                j += 1;
-            }
-            Op::Ins => {
-                if j >= b.len() {
-                    return Err(BtError::ReconstructionMismatch);
-                }
-                cigar.push(Op::Ins);
-                j += 1;
-            }
-            Op::Del => {
-                if i >= a.len() {
-                    return Err(BtError::ReconstructionMismatch);
-                }
-                cigar.push(Op::Del);
-                i += 1;
-            }
-            Op::Match => unreachable!("the walk never emits Match edits"),
-        }
-    }
-    // Trailing matches to the ends.
-    let m = extend(i, j);
-    cigar.push_run(Op::Match, m as u32);
-    i += m;
-    j += m;
-    if i != a.len() || j != b.len() {
-        return Err(BtError::ReconstructionMismatch);
-    }
-    Ok(cigar)
-}
-
-/// Full per-alignment CPU backtrace over packed sequences: walk + match
-/// insertion with no ASCII decode.
-pub fn backtrace_alignment_packed(
-    schedule: &WavefrontSchedule,
-    bt: &BtAlignment,
-    a: &wfa_core::bitpack::PackedSeq,
-    b: &wfa_core::bitpack::PackedSeq,
-    p: &Penalties,
-    parallel_sections: usize,
-) -> Result<Cigar, BtError> {
-    let edits = walk_origins(schedule, bt, p, parallel_sections)?;
-    insert_matches_packed(a, b, &edits)
 }
 
 /// Full per-alignment CPU backtrace: walk + match insertion.
 pub fn backtrace_alignment(
     schedule: &WavefrontSchedule,
     bt: &BtAlignment,
-    a: &[u8],
-    b: &[u8],
+    seqs: SeqsRef<'_>,
     p: &Penalties,
     parallel_sections: usize,
 ) -> Result<Cigar, BtError> {
     let edits = walk_origins(schedule, bt, p, parallel_sections)?;
-    insert_matches(a, b, &edits)
+    insert_matches(seqs, &edits)
+}
+
+/// [`backtrace_alignment`] over a packed pair; the benchmark's layer replay
+/// (`perfbench/src/replay.rs`) calls it by this name.
+pub fn backtrace_alignment_packed(
+    schedule: &WavefrontSchedule,
+    bt: &BtAlignment,
+    a: &PackedSeq,
+    b: &PackedSeq,
+    p: &Penalties,
+    parallel_sections: usize,
+) -> Result<Cigar, BtError> {
+    backtrace_alignment(schedule, bt, SeqsRef::Packed(a, b), p, parallel_sections)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfa_core::bitpack::PackedSeq;
     use wfasic_accel::aligner::align_packed;
     use wfasic_accel::collector::{bt_txns_to_bytes, collect_bt};
     use wfasic_accel::AccelConfig;
@@ -469,8 +412,7 @@ mod tests {
         let cigar = backtrace_alignment(
             &schedule,
             &alignments[0],
-            a,
-            b,
+            SeqsRef::Bytes(a, b),
             &cfg.penalties,
             cfg.parallel_sections,
         )
@@ -557,17 +499,15 @@ mod tests {
             let byte_cigar = backtrace_alignment(
                 &schedule,
                 &alignments[0],
-                a,
-                b,
+                SeqsRef::Bytes(a, b),
                 &cfg.penalties,
                 cfg.parallel_sections,
             )
             .unwrap();
-            let packed_cigar = backtrace_alignment_packed(
+            let packed_cigar = backtrace_alignment(
                 &schedule,
                 &alignments[0],
-                &pa,
-                &pb,
+                SeqsRef::Packed(&pa, &pb),
                 &cfg.penalties,
                 cfg.parallel_sections,
             )
@@ -636,8 +576,7 @@ mod tests {
         let c1 = backtrace_alignment(
             &schedule,
             by_id[&1],
-            b"GATTACAGATTACA",
-            b"GATCACAGATAACA",
+            SeqsRef::Bytes(b"GATTACAGATTACA", b"GATCACAGATAACA"),
             &cfg.penalties,
             64,
         )
@@ -646,8 +585,7 @@ mod tests {
         let c2 = backtrace_alignment(
             &schedule,
             by_id[&2],
-            b"CCCCAAAATTTT",
-            b"CCCCTTTT",
+            SeqsRef::Bytes(b"CCCCAAAATTTT", b"CCCCTTTT"),
             &cfg.penalties,
             64,
         )
